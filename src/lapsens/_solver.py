@@ -3,6 +3,15 @@
 Matrices are float arrays with rows = agents and columns = tasks; np.inf
 marks a missing edge. All routines are pure functions of their inputs and
 are safe to call concurrently.
+
+Sensitivities come from the exchange graph of a matching. Node t stands for
+the agent holding task t. Edge t->u means "t's agent takes u's task" and
+weighs `W[holder(t), u] - W[holder(t), t]`. With more agents than tasks, a
+free-pool node Z joins: t->Z means "t's agent drops its task" and weighs
+`-W[holder(t), t]`; Z->u means "the cheapest free agent takes u's task". The
+matching is optimal exactly when no cycle is negative, and each single-edge
+flip is a cheapest cycle, so one all-pairs shortest-path pass yields every
+sensitivity.
 """
 from __future__ import annotations
 
@@ -34,7 +43,9 @@ def solve_dense(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
 def flip_cost(mat: np.ndarray, a: int, b: int, assigned: bool) -> float:
     """Cost of the best matching with edge (a, b)'s membership flipped.
 
-    Returns np.inf when no matching with the flipped membership exists.
+    Returns np.inf when no matching with the flipped membership exists. The
+    sensitivity kernel does not use it; it stays because perfbench/spans.py
+    traces it by name.
     """
     if assigned:
         blocked = mat.copy()
@@ -52,19 +63,38 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     Assigned edges give `flipped_cost - base_cost` (>= 0 at an optimum),
     unassigned edges give `base_cost - flipped_cost` (<= 0). Entries are
     +/-inf where the flip is infeasible and NaN at non-edges.
+
+    On the exchange graph (module docstring), blocking task t's edge costs the
+    cheapest cycle through node t. Forcing agent a onto task j costs
+    `W[a, j] - W[a, s]` plus the shortest path j->s when a holds task s, and
+    `W[a, j]` plus the shortest path j->Z when a is free.
     """
     num_agents, num_tasks = mat.shape
-    base = float(mat[task_to_agent, np.arange(num_tasks)].sum()) if num_tasks else 0.0
-    out = np.full(mat.shape, np.nan)
-    assigned = np.zeros(mat.shape, dtype=bool)
-    assigned[task_to_agent, np.arange(num_tasks)] = True
-    finite = np.isfinite(mat)
-    for a in range(num_agents):
-        for b in range(num_tasks):
-            if not finite[a, b]:
-                continue
-            flipped = flip_cost(mat, a, b, bool(assigned[a, b]))
-            out[a, b] = (flipped - base) if assigned[a, b] else (base - flipped)
+    if num_tasks == 0:
+        return np.full(mat.shape, np.nan)
+    tasks = np.arange(num_tasks)
+    pi = np.asarray(task_to_agent, dtype=np.intp)
+    # Each agent's node (its task, or Z = num_tasks when free) and held weight.
+    node = np.full(num_agents, num_tasks)
+    node[pi] = tasks
+    held = np.zeros(num_agents)
+    held[pi] = mat[pi, tasks]
+    free = node == num_tasks
+    size = num_tasks + int(free.any())
+    graph = np.full((size, size), np.inf)
+    graph[:num_tasks, :num_tasks] = mat[pi] - held[pi, None]
+    if free.any():
+        graph[:num_tasks, num_tasks] = -held[pi]
+        graph[num_tasks, :num_tasks] = mat[free].min(axis=0)
+    np.fill_diagonal(graph, np.inf)
+    dist = graph.copy()
+    np.fill_diagonal(dist, 0.0)
+    for k in range(size):  # Floyd-Warshall, one min-plus step per node
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    forced = mat - held[:, None] + dist[:num_tasks, node].T
+    # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
+    out = np.where(np.isfinite(mat), 0.0 - forced, np.nan)
+    out[pi, tasks] = (graph[:num_tasks] + dist[:, :num_tasks].T).min(axis=1)
     return out
 
 

@@ -9,7 +9,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# Unused by the CLI itself; perfbench/spans.py patches this name when tracing.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 from .core import BipartiteInstance, solve_lap
@@ -272,13 +273,8 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [scenario.seed]
-    scenarios = [dataclasses.replace(scenario, seed=s) for s in seeds]
-    if len(scenarios) == 1:
-        logs = [run_simulation(scenarios[0], args.policy)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(scenarios))) as pool:
-            logs = list(pool.map(lambda sc: run_simulation(sc, args.policy), scenarios))
-    for log in logs:
+    for seed in seeds:
+        log = run_simulation(dataclasses.replace(scenario, seed=seed), args.policy)
         if args.format == "json":
             for record in simlog_records(log):
                 print(json.dumps(record, separators=_JSON_SEP))

@@ -179,10 +179,13 @@ def solve_lap(instance: BipartiteInstance) -> SolveReport:
     if res is None:
         raise InfeasibleError("no assignment covers every task")
     opt_cost, base = res
-    chosen = _solver.canonical_assignment(instance._dense, base, opt_cost)
-    assn = Assignment(tuple((t, int(a)) for t, a in enumerate(chosen)))
-    cost = assignment_cost(instance, assn)
-    return SolveReport(assn, cost, uniqueness_check(instance, assn))
+    assn = Assignment(tuple((t, int(a)) for t, a in enumerate(base)))
+    unique = uniqueness_check(instance, assn)
+    if not unique:
+        # A unique optimum is already the canonical one; only ties need the search.
+        chosen = _solver.canonical_assignment(instance._dense, base, opt_cost)
+        assn = Assignment(tuple((t, int(a)) for t, a in enumerate(chosen)))
+    return SolveReport(assn, assignment_cost(instance, assn), unique)
 
 
 def assignment_cost(instance: BipartiteInstance, assn: Assignment) -> float:
@@ -237,17 +240,11 @@ def uniqueness_check(instance: BipartiteInstance, assn: Assignment) -> bool:
     """True when `assn` is the strictly unique optimum.
 
     Checks that flipping any single edge's membership strictly increases the
-    cost. `assn` must already be optimal for the answer to be meaningful.
+    cost, i.e. that no finite sensitivity is within COST_TOL of zero. `assn`
+    must already be optimal for the answer to be meaningful.
     """
-    mat = instance._dense
-    pi = _pi_array(instance, assn)
-    base = assignment_cost(instance, assn)
-    assigned = assn.assigned_edges()
-    for a, b in instance.weights:
-        flipped = _solver.flip_cost(mat, a, b, (a, b) in assigned)
-        if abs(flipped - base) <= COST_TOL:
-            return False
-    return True
+    sens = _solver.sens_dense(instance._dense, _pi_array(instance, assn))
+    return not bool((np.abs(sens) <= COST_TOL).any())
 
 
 def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceResult:

@@ -109,7 +109,7 @@ class CriticalSearchReport:
     """Outcome of the iterative critical-perturbation search.
 
     The perturbation is allowable whether or not the search converged;
-    `residual` is the largest remaining absolute sensitivity.
+    `residual` is the largest remaining absolute finite sensitivity.
     """
 
     perturbation: Perturbation
@@ -169,8 +169,8 @@ def elementwise_sensitivities(
     (numerically) zero, i.e. the optimum is not unique, unless
     `allow_degenerate` is set.
 
-    The per-edge constrained solves are independent; results do not depend
-    on evaluation order.
+    Every value comes from one shortest-path pass over the optimum's exchange
+    graph (see `_solver`); no edge needs a solve of its own.
     """
     pi = _pi_array(instance, optimum)
     base = float(instance._dense[pi, np.arange(instance.num_tasks)].sum()) if len(pi) else 0.0
@@ -276,7 +276,8 @@ def critical_search(
     largest absolute sensitivity falls to `stop_tol` (default: scaled to the
     initial sensitivities) or after `max_iters` passes; hitting the cap
     simply returns `converged=False`. Edges with unbounded sensitivity take
-    capped steps, are flagged saturated, and keep the residual infinite.
+    one capped step, are flagged saturated and then stay fixed; the residual
+    covers the finite sensitivities only, and is infinite when there are none.
 
     The reference optimum must be unique (DegenerateOptimumError otherwise).
     """
@@ -296,16 +297,22 @@ def critical_search(
     sens = np.full(shape, np.nan)
     for edge, v in sens0.values.items():
         sens[edge] = v
+    # A flip's feasibility depends on the edge set alone, so `finite` holds on
+    # every pass. With edges but no finite sensitivity the residual stays inf.
+    finite = np.isfinite(sens)
+    floor = math.inf if edges and not finite.any() else 0.0
     delta = np.zeros(shape)
-    residual = float(np.nanmax(np.abs(sens))) if edges else 0.0
+    residual = float(np.abs(sens[finite]).max(initial=floor))
     two_n = 2.0 * instance.num_tasks
+    moving = edge_mask
     iterations = 0
     trace: list[TraceStep] = []
     while residual > tol and iterations < max_iters:
         step = np.clip(sens, -saturation_cap, saturation_cap) / two_n
-        delta = delta + np.where(edge_mask, step, 0.0)
+        delta = delta + np.where(moving, step, 0.0)
+        moving = finite  # saturated edges take one capped step, then stay put
         sens = _solver.sens_dense(mat + delta, pi)
-        residual = float(np.nanmax(np.abs(sens)))
+        residual = float(np.abs(sens[finite]).max(initial=floor))
         iterations += 1
         if keep_trace:
             trace.append(

@@ -1,7 +1,8 @@
-"""Shared fixtures and an independent enumeration oracle.
+"""Shared fixtures and two independent oracles.
 
-The oracle enumerates matchings with itertools and never touches the
-package's solver paths, so agreement between the two is meaningful.
+The enumeration oracle lists matchings with itertools; the constrained-solve
+oracle flips one edge at a time and re-solves with scipy. Neither touches the
+package's solver paths, so agreement with them is meaningful.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lapsens import Assignment, BipartiteInstance
 
@@ -82,6 +84,41 @@ def oracle_sensitivities(grid, opt_map, matchings=None):
                 out[(a, b)] = (min(without_edge) - best) if without_edge else math.inf
             else:
                 out[(a, b)] = (best - min(with_edge)) if with_edge else -math.inf
+    return out
+
+
+def oracle_lap_cost(mat):
+    """Optimal cost of a dense matrix (np.inf = missing edge); inf if none."""
+    if mat.shape[1] == 0:
+        return 0.0
+    if mat.shape[0] < mat.shape[1]:
+        return math.inf
+    try:
+        rows, cols = linear_sum_assignment(mat)
+    except ValueError:
+        return math.inf
+    return float(mat[rows, cols].sum())
+
+
+def oracle_constrained_sensitivities(mat, task_to_agent):
+    """Per-edge sensitivities from one constrained solve per edge.
+
+    An assigned edge is blocked and the instance re-solved; an unassigned
+    edge (a, b) is forced by solving without agent a and task b. +/-inf when
+    the flipped problem has no matching.
+    """
+    mat = np.asarray(mat, dtype=float)
+    base = sum(float(mat[a, t]) for t, a in enumerate(task_to_agent))
+    out = {}
+    for a, b in zip(*np.nonzero(np.isfinite(mat))):
+        a, b = int(a), int(b)
+        if task_to_agent[b] == a:
+            blocked = mat.copy()
+            blocked[a, b] = np.inf
+            out[(a, b)] = oracle_lap_cost(blocked) - base
+        else:
+            reduced = np.delete(np.delete(mat, a, axis=0), b, axis=1)
+            out[(a, b)] = base - (oracle_lap_cost(reduced) + float(mat[a, b]))
     return out
 
 

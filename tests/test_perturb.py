@@ -197,6 +197,31 @@ class TestCriticalSearch:
         with pytest.raises(ValueError):
             critical_search(demo_instance, demo_optimum, stop_tol=0.0)
 
+    @pytest.mark.parametrize(
+        "grid, passes",
+        [
+            ([[91, 33, 15], [None, 86, 92], [None, 9, 42]], 13),
+            ([[91, 33, 15], [None, 86, 92], [None, 9, 42], [None, 50, None]], 76),
+        ],
+        ids=["square", "rectangular"],
+    )
+    def test_infeasible_flips_still_converge(self, grid, passes):
+        # Task 0 has only agent 0, so every flip touching agent 0 is infeasible.
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        sens0 = elementwise_sensitivities(inst, assn)
+        report = critical_search(inst, assn)
+        assert report.converged is True
+        assert report.iterations == passes
+        saturated = {(0, 0), (0, 1), (0, 2)}
+        assert report.perturbation.saturated == saturated
+        assert report.residual <= 1e-6 * sens0.finite_scale()
+        for edge in saturated:
+            # one capped step, then frozen
+            expected = math.copysign(1e9, sens0.values[edge]) / (2 * inst.num_tasks)
+            assert report.perturbation.deltas[edge] == expected
+        assert verify_allowable(inst, assn, report.perturbation)
+
     def test_infinite_sensitivities_never_converge(self):
         inst = BipartiteInstance.from_matrix([[7]])
         report = critical_search(inst, Assignment.from_task_map({0: 0}), max_iters=3)

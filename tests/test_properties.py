@@ -1,6 +1,7 @@
-"""Property-based tests: the fast paths must agree with exhaustive enumeration."""
+"""Property-based tests: the fast paths must agree with the independent oracles."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -28,7 +29,13 @@ from lapsens import (
     verify_allowable,
 )
 
-from conftest import oracle_enumerate, oracle_optima, oracle_sensitivities
+from conftest import (
+    oracle_constrained_sensitivities,
+    oracle_enumerate,
+    oracle_lap_cost,
+    oracle_optima,
+    oracle_sensitivities,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -52,6 +59,21 @@ def sparse_grids(draw, min_n=1, max_n=4):
     ]
     assume(oracle_enumerate(masked))  # at least one full matching survives
     return masked
+
+
+@st.composite
+def float_grids(draw, max_n=12):
+    """Float weights, up to max_n tasks, some edges missing, always solvable."""
+    num_tasks = draw(st.integers(1, max_n))
+    num_agents = draw(st.integers(num_tasks, num_tasks + 2))
+    weight = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
+    grid = [
+        [draw(weight) if draw(st.booleans()) else None for _ in range(num_tasks)]
+        for _ in range(num_agents)
+    ]
+    mat = np.array([[np.inf if w is None else w for w in row] for row in grid])
+    assume(math.isfinite(oracle_lap_cost(mat)))
+    return grid
 
 
 @st.composite
@@ -119,6 +141,12 @@ class TestSolverAgainstOracle:
             len(optima) == 1
         )
 
+    @SETTINGS
+    @given(sparse_grids())
+    def test_uniqueness_on_sparse_grids(self, grid):
+        _, optima = oracle_optima(grid)
+        assert solve_lap(BipartiteInstance.from_matrix(grid)).unique == (len(optima) == 1)
+
 
 class TestConstrainedAgainstOracle:
     @SETTINGS
@@ -155,6 +183,33 @@ class TestSensitivityProperties:
         expected = oracle_sensitivities(grid, assn.task_map())
         got = elementwise_sensitivities(inst, assn)
         assert dict(got.values) == expected
+
+    @SETTINGS
+    @given(sparse_grids())
+    def test_matches_enumeration_on_sparse_grids(self, grid):
+        # Rectangular shapes, missing edges, +/-inf flips and tied optima.
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        expected = oracle_sensitivities(grid, assn.task_map())
+        got = elementwise_sensitivities(inst, assn, allow_degenerate=True)
+        assert dict(got.values) == expected
+
+    @SETTINGS
+    @given(float_grids())
+    def test_matches_constrained_solves_on_floats(self, grid):
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        pi = [assn.task_map()[t] for t in range(inst.num_tasks)]
+        expected = oracle_constrained_sensitivities(inst.dense(), pi)
+        got = elementwise_sensitivities(inst, assn, allow_degenerate=True).values
+        scale = max(abs(w) for w in inst.weights.values())
+        tol = 1e-9 * scale * inst.num_tasks
+        assert set(got) == set(expected)
+        for edge, want in expected.items():
+            if math.isinf(want):
+                assert got[edge] == want
+            else:
+                assert abs(got[edge] - want) <= tol
 
     @SETTINGS
     @given(unique_grids())

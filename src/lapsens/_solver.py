@@ -98,6 +98,33 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     return out
 
 
+def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
+    """Mask of the edges that every full matching uses, or that none uses.
+
+    These are the edges whose sensitivity `sens_dense` reports as infinite.
+    On the exchange graph of the given matching (module docstring), edge
+    (a, j) is the move from a's node to task j, and its membership can change
+    only when that move lies on a cycle, i.e. when j reaches a's node. Weights
+    play no part; only the edge set does.
+    """
+    num_agents, num_tasks = mat.shape
+    tasks = np.arange(num_tasks)
+    pi = np.asarray(task_to_agent, dtype=np.intp)
+    node = np.full(num_agents, num_tasks)
+    node[pi] = tasks
+    edge = np.isfinite(mat)
+    # reach[s, u]: some path leads from node s to node u; node Z = num_tasks.
+    reach = np.zeros((num_tasks + 1, num_tasks + 1), dtype=bool)
+    rows, cols = np.nonzero(edge)
+    reach[node[rows], cols] = True
+    reach[tasks, tasks] = False
+    if num_agents > num_tasks:
+        reach[:num_tasks, num_tasks] = True
+    for k in range(num_tasks + 1):  # Warshall, one step per node
+        reach |= reach[:, k, None] & reach[k]
+    return edge & ~reach[:num_tasks, node].T
+
+
 def canonical_assignment(
     mat: np.ndarray, base_map: np.ndarray, opt_cost: float, tol: float = COST_TOL
 ) -> np.ndarray:

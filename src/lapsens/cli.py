@@ -33,6 +33,7 @@ from .perturb import (
     DEFAULT_MAX_ITERS,
     ErrorBounds,
     Perturbation,
+    certify_exact,
     certify_optimal,
     critical_search,
     divided_bound,
@@ -218,9 +219,13 @@ def _cmd_verify(args) -> int:
 def _cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
-    pert = _resolve_perturbation(args, instance, assignment)
-    eps = _resolve_eps(args.eps, instance)
-    ok = certify_optimal(pert, assignment, eps)
+    if args.exact:
+        if args.tol is not None or args.max_iters != DEFAULT_MAX_ITERS:
+            raise ValueError("--exact runs no critical search: drop --tol and --max-iters")
+        ok = certify_exact(instance, assignment, _resolve_eps(args.eps, instance))
+    else:
+        pert = _resolve_perturbation(args, instance, assignment)
+        ok = certify_optimal(pert, assignment, _resolve_eps(args.eps, instance))
     if args.format == "json":
         _print_json({"certified": ok})
     else:
@@ -296,11 +301,15 @@ def _add_common(sub, *, tol=False, max_iters=False, perturbation=False):
             help="iteration cap for the critical search",
         )
     if perturbation:
-        sub.add_argument(
-            "--perturbation",
-            default=None,
-            help="perturbation grid file, or 'zero'; defaults to the critical perturbation",
-        )
+        _add_perturbation(sub)
+
+
+def _add_perturbation(target) -> None:
+    target.add_argument(
+        "--perturbation",
+        default=None,
+        help="perturbation grid file, or 'zero'; defaults to the critical perturbation",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("certify", help="certify the optimum under bounded error")
-    _add_common(sub, tol=True, max_iters=True, perturbation=True)
+    _add_common(sub, tol=True, max_iters=True)
+    decision = sub.add_mutually_exclusive_group()
+    _add_perturbation(decision)
+    decision.add_argument(
+        "--exact", action="store_true",
+        help="decide with the exact worst-case test (one solve, no critical search)",
+    )
     sub.add_argument(
         "--eps",
         required=True,

@@ -149,9 +149,13 @@ def _perturbed_dense(instance: BipartiteInstance, pert: Perturbation) -> np.ndar
     return mat
 
 
-def _sens_values(mat: np.ndarray, pi: np.ndarray, edges) -> dict[Edge, float]:
-    dense = _solver.sens_dense(mat, pi)
-    return {(a, b): float(dense[a, b]) for a, b in edges}
+def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
+    """Whether matching `pi` costs within `tol` of the optimal cost of `mat`."""
+    base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
+    res = _solver.solve_dense(mat)
+    if res is None:
+        raise ValueError("the reference assignment is not a matching of the instance")
+    return base <= res[0] + tol
 
 
 def elementwise_sensitivities(
@@ -173,11 +177,10 @@ def elementwise_sensitivities(
     graph (see `_solver`); no edge needs a solve of its own.
     """
     pi = _pi_array(instance, optimum)
-    base = float(instance._dense[pi, np.arange(instance.num_tasks)].sum()) if len(pi) else 0.0
-    res = _solver.solve_dense(instance._dense)
-    if res is None or base > res[0] + COST_TOL:
+    if not _stays_optimal(instance._dense, pi, COST_TOL):
         raise ValueError("the reference assignment is not an optimum of the instance")
-    values = _sens_values(instance._dense, pi, instance.sorted_edges())
+    dense = _solver.sens_dense(instance._dense, pi)
+    values = {(a, b): float(dense[a, b]) for a, b in instance.sorted_edges()}
     if not allow_degenerate:
         for edge, v in values.items():
             if abs(v) <= COST_TOL:
@@ -246,12 +249,7 @@ def verify_allowable(
     `tol` of the perturbed optimal cost), not uniqueness.
     """
     mat = _perturbed_dense(instance, pert)
-    pi = _pi_array(instance, optimum)
-    base = float(mat[pi, np.arange(instance.num_tasks)].sum()) if len(pi) else 0.0
-    res = _solver.solve_dense(mat)
-    if res is None:
-        raise ValueError("the reference assignment is not a matching of the instance")
-    return base <= res[0] + tol
+    return _stays_optimal(mat, _pi_array(instance, optimum), tol)
 
 
 def default_stop_tol(sens: SensitivityMatrix) -> float:
@@ -277,7 +275,8 @@ def critical_search(
     initial sensitivities) or after `max_iters` passes; hitting the cap
     simply returns `converged=False`. Edges with unbounded sensitivity take
     one capped step, are flagged saturated and then stay fixed; the residual
-    covers the finite sensitivities only, and is infinite when there are none.
+    covers the finite sensitivities only; when there are none it is infinite
+    and the search stops after its first pass, since nothing moves after it.
 
     The reference optimum must be unique (DegenerateOptimumError otherwise).
     """
@@ -300,7 +299,8 @@ def critical_search(
     # A flip's feasibility depends on the edge set alone, so `finite` holds on
     # every pass. With edges but no finite sensitivity the residual stays inf.
     finite = np.isfinite(sens)
-    floor = math.inf if edges and not finite.any() else 0.0
+    all_saturated = bool(edges) and not finite.any()
+    floor = math.inf if all_saturated else 0.0
     delta = np.zeros(shape)
     residual = float(np.abs(sens[finite]).max(initial=floor))
     two_n = 2.0 * instance.num_tasks
@@ -321,6 +321,8 @@ def critical_search(
                     residual,
                 )
             )
+        if all_saturated:
+            break  # every edge took its one step; later passes repeat this one
     pert = Perturbation({e: float(delta[e]) for e in edges}, saturated)
     return CriticalSearchReport(
         pert,
@@ -339,17 +341,21 @@ def is_critical(
 ) -> bool:
     """Whether the perturbed instance sits at the invariance boundary.
 
-    True when every element-wise sensitivity of the shifted weights is zero
-    within `tol` (default: the same scaled tolerance critical_search uses).
+    True when every finite element-wise sensitivity of the shifted weights is
+    zero within `tol` (default: the same scaled tolerance critical_search
+    uses). Infeasible flips are skipped, as in critical_search's residual;
+    with edges but no feasible flip the answer is False.
     """
     pi = _pi_array(instance, optimum)
     if tol is None:
         tol = default_stop_tol(
             elementwise_sensitivities(instance, optimum, allow_degenerate=True)
         )
-    mat = _perturbed_dense(instance, pert)
-    values = _sens_values(mat, pi, instance.sorted_edges())
-    return all(abs(v) <= tol for v in values.values())
+    sens = _solver.sens_dense(_perturbed_dense(instance, pert), pi)
+    finite = np.isfinite(sens)
+    if instance.edges and not finite.any():
+        return False
+    return bool(np.all(np.abs(sens[finite]) <= tol))
 
 
 def certify_optimal(
@@ -376,3 +382,34 @@ def certify_optimal(
         elif not d <= -bound:
             return False
     return True
+
+
+def certify_exact(
+    instance: BipartiteInstance,
+    optimum: Assignment,
+    eps: ErrorBounds,
+    *,
+    tol: float = COST_TOL,
+) -> bool:
+    """Whether the optimum stays optimal for every weight within the error bounds.
+
+    Decides exactly, with one solve on the optimum's worst case: its own edges
+    raised by eps and every other edge lowered by eps (the "necessarily
+    optimal" test for interval data). True when the optimum's worst-case cost
+    is within `tol` of that instance's optimal cost. Edges that every full
+    matching uses, or that none does, keep their weight: an error on them
+    moves every matching's cost alike, and kept out of the sums, a large
+    bound on them (such as a saturated budget) cannot swamp the comparison.
+    `certify_optimal` with any allowable perturbation accepts only where this
+    test accepts, as long as the rounding in sums of the weights and the
+    remaining bounds stays below `tol`, which is absolute.
+    """
+    if set(eps.bounds) != instance.edges:
+        raise ShapeMismatchError("error bounds are not defined on exactly the edge set")
+    pi = _pi_array(instance, optimum)
+    shift = np.zeros(instance._dense.shape)
+    for edge, bound in eps.bounds.items():
+        shift[edge] = -bound
+    shift[pi, np.arange(instance.num_tasks)] *= -1.0
+    shift[_solver.fixed_edges(instance._dense, pi)] = 0.0
+    return _stays_optimal(instance._dense + shift, pi, tol)

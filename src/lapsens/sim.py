@@ -18,6 +18,7 @@ from .errors import DegenerateOptimumError
 from .perturb import (
     ErrorBounds,
     Perturbation,
+    certify_exact,
     certify_optimal,
     critical_search,
     divided_bound,
@@ -169,6 +170,8 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
     `certified` also re-solves each step, but additionally checks whether the
     measured optimum is provably optimal for the true distances given the
     noise bound; once certified, the assignment is locked and never changes.
+    The paper's certificate (`certify_optimal` on the critical perturbation)
+    decides every lock; steps that `certify_exact` refuses skip its search.
     Ends when every assigned agent has reached its target or after
     `scenario.max_steps` steps (`exhausted=True`).
     """
@@ -191,9 +194,12 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
             instance = BipartiteInstance.from_matrix(weights)
             assn = solve_lap(instance).assignment
             if policy == "certified":
-                pert = _allowable_perturbation(instance, assn)
                 bounds = ErrorBounds.uniform(instance.edges, scenario.noise_bound)
-                if certify_optimal(pert, assn, bounds):
+                # The exact test is necessary for the paper's certificate, so
+                # the critical search runs only where a lock is possible.
+                if certify_exact(instance, assn, bounds) and certify_optimal(
+                    _allowable_perturbation(instance, assn), assn, bounds
+                ):
                     locked = assn
                     certification_step = k
         reassigned = previous is not None and assn != previous

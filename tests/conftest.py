@@ -1,8 +1,9 @@
-"""Shared fixtures and two independent oracles.
+"""Shared fixtures and three independent oracles.
 
 The enumeration oracle lists matchings with itertools; the constrained-solve
-oracle flips one edge at a time and re-solves with scipy. Neither touches the
-package's solver paths, so agreement with them is meaningful.
+oracle flips one edge at a time and re-solves with scipy; the worst-case
+certificate enumerates the optima of the worst-case grid. None of them
+touches the package's solver paths, so agreement with them is meaningful.
 """
 from __future__ import annotations
 
@@ -85,6 +86,25 @@ def oracle_sensitivities(grid, opt_map, matchings=None):
             else:
                 out[(a, b)] = (best - min(with_edge)) if with_edge else -math.inf
     return out
+
+
+def oracle_worst_case_certified(grid, opt_map, eps, tol=1e-9):
+    """Whether opt_map is optimal for every weight within +/-eps of the grid.
+
+    `eps[a][b]` bounds the error of edge (a, b). The worst case for opt_map
+    raises its own edges by eps and lowers every other edge by eps; opt_map
+    survives every error exactly when it is among that grid's optima.
+    """
+    opt = tuple(opt_map[t] for t in range(len(grid[0])))
+    worst = [
+        [
+            None if w is None else (w + eps[a][b] if opt[b] == a else w - eps[a][b])
+            for b, w in enumerate(row)
+        ]
+        for a, row in enumerate(grid)
+    ]
+    _, optima = oracle_optima(worst, tol)
+    return opt in set(optima)
 
 
 def oracle_lap_cost(mat):

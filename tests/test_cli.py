@@ -178,6 +178,67 @@ class TestVerifyAndCertify:
         assert out.strip() == "certified true"
 
 
+class TestCertifyExact:
+    @pytest.mark.parametrize(
+        "eps, exact_code, paper_code",
+        [("8.5", 0, 0), ("12.75", 0, 3), ("13", 3, 3)],
+    )
+    def test_table_agrees_or_is_more_permissive(
+        self, capsys, demo_file, eps, exact_code, paper_code
+    ):
+        # 12.75 is the exact radius; the critical search stops just short of it.
+        tokens = {0: "certified true", 3: "certified false"}
+        code, out, _ = run_cli(capsys, "certify", "--input", demo_file, "--eps", eps, "--exact")
+        assert (code, out) == (exact_code, tokens[exact_code] + "\n")
+        code, out, _ = run_cli(capsys, "certify", "--input", demo_file, "--eps", eps)
+        assert (code, out) == (paper_code, tokens[paper_code] + "\n")
+
+    def test_json_and_eps_file(self, capsys, demo_file, tmp_path):
+        eps = tmp_path / "eps.csv"
+        eps.write_text("1,1,1\n1,1,1\n1,1,60\n")
+        code, out, _ = run_cli(
+            capsys, "certify", "--input", demo_file, "--eps", str(eps), "--exact",
+            "--format", "json",
+        )
+        assert code == 3
+        assert out == '{"certified":false}\n'
+        code, out, _ = run_cli(
+            capsys, "certify", "--input", demo_file, "--eps", "8.5", "--exact",
+            "--format", "json",
+        )
+        assert (code, out) == (0, '{"certified":true}\n')
+
+    def test_runs_no_critical_search(self, capsys, demo_file, monkeypatch):
+        import lapsens.cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("critical search ran")
+
+        monkeypatch.setattr(lapsens.cli, "critical_search", forbidden)
+        code, out, _ = run_cli(capsys, "certify", "--input", demo_file, "--eps", "8.5", "--exact")
+        assert (code, out) == (0, "certified true\n")
+
+    def test_exact_with_perturbation_is_usage_error(self, capsys, demo_file):
+        code, out, err = run_cli(
+            capsys, "certify", "--input", demo_file, "--eps", "1", "--exact",
+            "--perturbation", "zero",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
+    @pytest.mark.parametrize(
+        "option", [("--tol", "0"), ("--max-iters", "5")], ids=["tol", "max-iters"]
+    )
+    def test_exact_with_search_option_is_usage_error(self, capsys, demo_file, option):
+        code, out, err = run_cli(
+            capsys, "certify", "--input", demo_file, "--eps", "1", "--exact", *option
+        )
+        assert code == 2
+        assert out == ""
+        assert "--exact runs no critical search" in err
+
+
 class TestSimulate:
     def test_json_lines(self, capsys, scenario_file):
         code, out, _ = run_cli(

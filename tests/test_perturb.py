@@ -10,6 +10,7 @@ from lapsens import (
     ErrorBounds,
     Perturbation,
     ShapeMismatchError,
+    certify_exact,
     certify_optimal,
     critical_search,
     divided_bound,
@@ -222,6 +223,17 @@ class TestCriticalSearch:
             assert report.perturbation.deltas[edge] == expected
         assert verify_allowable(inst, assn, report.perturbation)
 
+    @pytest.mark.parametrize("grid", [[[7]], [[5], [None]]], ids=["1x1", "2x1"])
+    def test_no_finite_sensitivity_stops_after_one_pass(self, grid):
+        # Every edge saturates on the first pass and then stays put.
+        inst = BipartiteInstance.from_matrix(grid)
+        report = critical_search(inst, solve_lap(inst).assignment, keep_trace=True)
+        assert report.iterations == 1
+        assert report.converged is False
+        assert report.residual == math.inf
+        assert report.perturbation.deltas == {(0, 0): 5e8}
+        assert len(report.trace) == 1
+
     def test_infinite_sensitivities_never_converge(self):
         inst = BipartiteInstance.from_matrix([[7]])
         report = critical_search(inst, Assignment.from_task_map({0: 0}), max_iters=3)
@@ -248,6 +260,20 @@ class TestIsCritical:
         assn = solve_lap(inst).assignment
         pert = Perturbation({(0, 0): 5.0, (0, 1): -5.0, (1, 0): -5.0, (1, 1): 5.0})
         assert is_critical(inst, assn, pert)
+
+    def test_infeasible_flips_are_skipped(self):
+        # Edges of agent 0 have infinite sensitivities that no shift can zero.
+        inst = BipartiteInstance.from_matrix([[91, 33, 15], [None, 86, 92], [None, 9, 42]])
+        assn = solve_lap(inst).assignment
+        report = critical_search(inst, assn)
+        assert report.converged
+        assert is_critical(inst, assn, report.perturbation)
+        assert not is_critical(inst, assn, Perturbation.zeros(inst.edges))
+
+    def test_no_finite_sensitivity_is_never_critical(self):
+        inst = BipartiteInstance.from_matrix([[7]])
+        assn = Assignment.from_task_map({0: 0})
+        assert not is_critical(inst, assn, critical_search(inst, assn).perturbation)
 
     def test_explicit_tolerance(self, demo_instance, demo_optimum):
         pert = critical_search(demo_instance, demo_optimum).perturbation
@@ -282,6 +308,66 @@ class TestCertifyOptimal:
         assert certify_optimal(pert, assn, ErrorBounds(bounds))
         bounds[(0, 1)] = 5.5
         assert not certify_optimal(pert, assn, ErrorBounds(bounds))
+
+
+class TestCertifyExact:
+    def test_swap_2x2_bounds(self):
+        inst = swap_instance()
+        assn = solve_lap(inst).assignment
+        edges = inst.edges
+        assert certify_exact(inst, assn, ErrorBounds.uniform(edges, 3.0))
+        assert certify_exact(inst, assn, ErrorBounds.uniform(edges, 5.0))  # exact tie
+        assert not certify_exact(inst, assn, ErrorBounds.uniform(edges, 5.5))
+
+    def test_known_3x3_radius(self, demo_instance, demo_optimum):
+        # Rivals two swaps away cost 51 more, so the optimum survives +/-51/4.
+        edges = demo_instance.edges
+        assert certify_exact(demo_instance, demo_optimum, ErrorBounds.uniform(edges, 8.5))
+        exact = ErrorBounds.uniform(edges, 12.75)
+        assert certify_exact(demo_instance, demo_optimum, exact)
+        assert not certify_exact(demo_instance, demo_optimum, ErrorBounds.uniform(edges, 12.8))
+        # The paper's certificate stops just short of the radius.
+        pert = critical_search(demo_instance, demo_optimum).perturbation
+        assert not certify_optimal(pert, demo_optimum, exact)
+
+    def test_per_edge_bounds(self):
+        inst = swap_instance()
+        assn = solve_lap(inst).assignment
+        bounds = {(0, 0): 5.0, (0, 1): 5.0, (1, 0): 5.0, (1, 1): 5.0}
+        assert certify_exact(inst, assn, ErrorBounds(bounds))
+        bounds[(0, 1)] = 5.5
+        assert not certify_exact(inst, assn, ErrorBounds(bounds))
+
+    def test_missing_edges_and_spare_agent(self):
+        # Task 0 can only go to agent 0, so its bound cannot matter.
+        inst = BipartiteInstance.from_matrix([[1, 9], [None, 2], [None, 4]])
+        assn = solve_lap(inst).assignment
+        bounds = {e: 0.9 for e in inst.edges}
+        bounds[(0, 0)] = 1e6
+        assert certify_exact(inst, assn, ErrorBounds(bounds))
+        bounds[(2, 1)] = 1.2  # 2 + 0.9 > 4 - 1.2: the spare agent may be closer
+        assert not certify_exact(inst, assn, ErrorBounds(bounds))
+
+    def test_saturated_bounds_on_forced_edges(self):
+        # The only full matching; divided_bound saturates every edge to 1e9/6.
+        inst = BipartiteInstance.from_matrix(
+            [[0.2, None, None], [None, None, 0.4], [None, 1.0, None]]
+        )
+        assn = solve_lap(inst).assignment
+        pert = divided_bound(elementwise_sensitivities(inst, assn), inst.num_tasks)
+        bounds = ErrorBounds({e: abs(d) for e, d in pert.deltas.items()})
+        assert certify_optimal(pert, assn, bounds)
+        assert certify_exact(inst, assn, bounds)
+
+    def test_non_optimum_refused_even_without_error(self, demo_instance):
+        assn = Assignment.from_task_map({0: 0, 1: 1, 2: 2})
+        assert not certify_exact(
+            demo_instance, assn, ErrorBounds.uniform(demo_instance.edges, 0.0)
+        )
+
+    def test_edge_set_mismatch(self, demo_instance, demo_optimum):
+        with pytest.raises(ShapeMismatchError):
+            certify_exact(demo_instance, demo_optimum, ErrorBounds({(0, 0): 1.0}))
 
 
 class TestValueTypes:

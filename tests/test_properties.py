@@ -9,11 +9,14 @@ from lapsens import (
     Assignment,
     BipartiteInstance,
     DegenerateOptimumError,
+    ErrorBounds,
     InfeasibleError,
     Perturbation,
     analyze,
     assignment_cost,
     brute_force_solve,
+    certify_exact,
+    certify_optimal,
     constrained_solve,
     critical_search,
     divided_bound,
@@ -28,6 +31,7 @@ from lapsens import (
     uniqueness_check,
     verify_allowable,
 )
+from lapsens._solver import fixed_edges
 
 from conftest import (
     oracle_constrained_sensitivities,
@@ -35,6 +39,7 @@ from conftest import (
     oracle_lap_cost,
     oracle_optima,
     oracle_sensitivities,
+    oracle_worst_case_certified,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -275,6 +280,75 @@ class TestCriticalSearchProperties:
                 assert abs(d) <= abs(sens0.values[e]) + 1e-9
                 previous[e] = d
         assert is_critical(inst, assn, report.perturbation)
+
+
+def _error_bounds(grid, eps) -> ErrorBounds:
+    return ErrorBounds(
+        {
+            (a, b): eps[a][b]
+            for a, row in enumerate(grid)
+            for b, w in enumerate(row)
+            if w is not None
+        }
+    )
+
+
+class TestCertifyExactProperties:
+    @SETTINGS
+    @given(sparse_grids(), st.data())
+    def test_matches_worst_case_oracle(self, grid, data):
+        # Any matching, optimal or not; quarter-step bounds keep sums exact.
+        _, perm = data.draw(st.sampled_from(oracle_enumerate(grid)))
+        quarters = st.integers(0, 40).map(lambda k: k / 4)
+        eps = [[data.draw(quarters) for _ in row] for row in grid]
+        inst = BipartiteInstance.from_matrix(grid)
+        got = certify_exact(inst, Assignment(tuple(enumerate(perm))), _error_bounds(grid, eps))
+        assert got == oracle_worst_case_certified(grid, perm, eps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sparse_grids(), st.data())
+    def test_paper_certificate_implies_exact(self, grid, data):
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        try:
+            sens = elementwise_sensitivities(inst, assn)
+        except DegenerateOptimumError:
+            assume(False)
+        share = st.floats(0.0, 1.0)
+        for pert in (
+            critical_search(inst, assn).perturbation,
+            divided_bound(sens, inst.num_tasks),
+        ):
+            # A share of each edge's budget, so the paper's certificate accepts;
+            # saturated budgets keep their full size.
+            bounds = ErrorBounds(
+                {e: data.draw(share) * abs(d) for e, d in pert.deltas.items()}
+            )
+            assert certify_optimal(pert, assn, bounds)
+            assert certify_exact(inst, assn, bounds)
+
+    @SETTINGS
+    @given(sparse_grids())
+    def test_zero_error_accepts_every_optimum(self, grid):
+        inst = BipartiteInstance.from_matrix(grid)
+        zero = ErrorBounds.uniform(inst.edges, 0.0)
+        _, optima = oracle_optima(grid)
+        for perm in optima:
+            assert certify_exact(inst, Assignment(tuple(enumerate(perm))), zero)
+
+
+class TestFixedEdgesProperties:
+    @SETTINGS
+    @given(sparse_grids(), st.data())
+    def test_marks_edges_every_matching_agrees_on(self, grid, data):
+        matchings = oracle_enumerate(grid)
+        _, perm = data.draw(st.sampled_from(matchings))
+        mat = np.array([[np.inf if w is None else w for w in row] for row in grid])
+        got = fixed_edges(mat, np.array(perm))
+        for a, row in enumerate(grid):
+            for b, w in enumerate(row):
+                agree = len({m[b] == a for _, m in matchings}) == 1
+                assert got[a, b] == (w is not None and agree)
 
 
 class TestFormatsRoundTrip:

@@ -7,13 +7,18 @@ import pytest
 
 from lapsens import (
     Assignment,
+    BipartiteInstance,
+    ErrorBounds,
     Scenario,
+    certify_exact,
+    certify_optimal,
     exact_distances,
     measure_weights,
     run_simulation,
     step_dynamics,
     summarize,
 )
+from lapsens.sim import _allowable_perturbation
 
 
 def swap_scenario(**overrides):
@@ -28,6 +33,18 @@ def swap_scenario(**overrides):
     )
     params.update(overrides)
     return Scenario(**params)
+
+
+def contested3_scenario(seed, noise_bound=0.05):
+    """Three agents abreast chase three targets abreast; the optima nearly tie."""
+    return Scenario(
+        agent_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+        target_positions=((0.0, 10.0), (1.0, 10.0), (2.0, 10.0)),
+        speed=0.5,
+        noise_bound=noise_bound,
+        seed=seed,
+        max_steps=200,
+    )
 
 
 class TestScenario:
@@ -173,6 +190,48 @@ class TestRunSimulation:
         log = run_simulation(sc, "certified")
         assert not log.exhausted
         assert log.final_positions[2] == (9.0, 9.0)  # spare agent never moves
+
+
+class TestCertifiedPrefilter:
+    def test_skipped_searches_could_not_lock(self):
+        # Wherever the exact test refuses before the lock, the paper's
+        # certificate on the allowable perturbation refuses as well.
+        scenarios = [swap_scenario(seed=s) for s in range(100)]
+        scenarios += [contested3_scenario(s) for s in range(50)]
+        refused = 0
+        for sc in scenarios:
+            log = run_simulation(sc, "certified")
+            cert = log.certification_step
+            for step in log.steps[: len(log.steps) if cert is None else cert + 1]:
+                inst = BipartiteInstance.from_matrix(step.weights)
+                bounds = ErrorBounds.uniform(inst.edges, sc.noise_bound)
+                pert = _allowable_perturbation(inst, step.assignment)
+                paper = certify_optimal(pert, step.assignment, bounds)
+                assert paper == (step.index == cert)
+                if not certify_exact(inst, step.assignment, bounds):
+                    refused += 1
+                    assert not paper
+        assert refused > 0
+
+    def test_paper_certificate_decides_the_lock(self):
+        # At step 16 the exact test accepts but the critical perturbation falls
+        # short, so the lock waits for the paper's certificate at step 20.
+        sc = contested3_scenario(27, noise_bound=0.2)
+        log = run_simulation(sc, "certified")
+        assert log.certification_step == 20
+        exact = []
+        for step in log.steps[:21]:
+            inst = BipartiteInstance.from_matrix(step.weights)
+            bounds = ErrorBounds.uniform(inst.edges, sc.noise_bound)
+            if certify_exact(inst, step.assignment, bounds):
+                exact.append(step.index)
+        assert exact == [16, 20]
+
+    def test_contested3_lock_is_pinned(self):
+        log = run_simulation(contested3_scenario(0), "certified")
+        assert log.certification_step == 12
+        assert log.reassignments == 1
+        assert log.total_distance == pytest.approx(30.005223292337302, rel=1e-12)
 
 
 class TestSummarize:

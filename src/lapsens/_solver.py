@@ -1,8 +1,9 @@
 """Low-level routines on dense weight matrices.
 
 Matrices are float arrays with rows = agents and columns = tasks; np.inf
-marks a missing edge. All routines are pure functions of their inputs and
-are safe to call concurrently.
+marks a missing edge. All functions are pure functions of their inputs and
+are safe to call concurrently; an `ExchangeKernel` reuses its buffers, so
+each thread needs its own.
 
 Sensitivities come from the exchange graph of a matching. Node t stands for
 the agent holding task t. Edge t->u means "t's agent takes u's task" and
@@ -12,6 +13,12 @@ free-pool node Z joins: t->Z means "t's agent drops its task" and weighs
 matching is optimal exactly when no cycle is negative, and each single-edge
 flip is a cheapest cycle, so one all-pairs shortest-path pass yields every
 sensitivity.
+
+`ExchangeKernel` prepares that pass once per matching and edge set. The
+critical search calls one kernel on every pass, `perturb.is_critical` one for
+both of its passes, and `fixed_edges` reuses its node map; `sens_dense`, the
+one-off form, serves `core.uniqueness_check` and
+`perturb.elementwise_sensitivities`.
 """
 from __future__ import annotations
 
@@ -57,45 +64,74 @@ def flip_cost(mat: np.ndarray, a: int, b: int, assigned: bool) -> float:
     return np.inf if res is None else res[0] + float(mat[a, b])
 
 
-def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
-    """Element-wise sensitivities of every edge relative to the given matching.
+class ExchangeKernel:
+    """The exchange graph of one matching, prepared for any weights on one edge set.
 
-    Assigned edges give `flipped_cost - base_cost` (>= 0 at an optimum),
-    unassigned edges give `base_cost - flipped_cost` (<= 0). Entries are
-    +/-inf where the flip is infeasible and NaN at non-edges.
+    Built once from the edge mask and the task->agent map: the node of each
+    agent, the free agents that make up node Z, and the graph and distance
+    buffers with their Floyd-Warshall row and column views. Calling it on a
+    weight matrix with that edge set returns the matching's element-wise
+    sensitivities: assigned edges give `flipped_cost - base_cost` (>= 0 at an
+    optimum), unassigned edges give `base_cost - flipped_cost` (<= 0). Entries
+    are +/-inf where the flip is infeasible and NaN at non-edges. Each call
+    returns a new array; the buffers are only reused between calls, so one
+    kernel must not be called from two threads at once.
 
     On the exchange graph (module docstring), blocking task t's edge costs the
     cheapest cycle through node t. Forcing agent a onto task j costs
     `W[a, j] - W[a, s]` plus the shortest path j->s when a holds task s, and
     `W[a, j]` plus the shortest path j->Z when a is free.
     """
-    num_agents, num_tasks = mat.shape
-    if num_tasks == 0:
-        return np.full(mat.shape, np.nan)
-    tasks = np.arange(num_tasks)
-    pi = np.asarray(task_to_agent, dtype=np.intp)
-    # Each agent's node (its task, or Z = num_tasks when free) and held weight.
-    node = np.full(num_agents, num_tasks)
-    node[pi] = tasks
-    held = np.zeros(num_agents)
-    held[pi] = mat[pi, tasks]
-    free = node == num_tasks
-    size = num_tasks + int(free.any())
-    graph = np.full((size, size), np.inf)
-    graph[:num_tasks, :num_tasks] = mat[pi] - held[pi, None]
-    if free.any():
-        graph[:num_tasks, num_tasks] = -held[pi]
-        graph[num_tasks, :num_tasks] = mat[free].min(axis=0)
-    np.fill_diagonal(graph, np.inf)
-    dist = graph.copy()
-    np.fill_diagonal(dist, 0.0)
-    for k in range(size):  # Floyd-Warshall, one min-plus step per node
-        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-    forced = mat - held[:, None] + dist[:num_tasks, node].T
-    # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
-    out = np.where(np.isfinite(mat), 0.0 - forced, np.nan)
-    out[pi, tasks] = (graph[:num_tasks] + dist[:, :num_tasks].T).min(axis=1)
-    return out
+
+    def __init__(self, edge: np.ndarray, task_to_agent: np.ndarray):
+        num_agents, num_tasks = edge.shape
+        self.non_edge = ~edge
+        self.pi = np.asarray(task_to_agent, dtype=np.intp)
+        self.tasks = np.arange(num_tasks)
+        # Each agent's node: its task, or Z = num_tasks when it is free.
+        self.node = np.full(num_agents, num_tasks)
+        self.node[self.pi] = self.tasks
+        self.free = np.flatnonzero(self.node == num_tasks)
+        self.size = size = num_tasks + int(self.free.size > 0)
+        graph, dist = np.empty((size, size)), np.empty((size, size))
+        self.graph, self.dist, self.sums = graph, dist, np.empty((size, size))
+        self.cycles = np.empty((num_tasks, size))
+        self.diagonals = graph.reshape(-1)[:: size + 1], dist.reshape(-1)[:: size + 1]
+        self.steps = [(dist[:, k, None], dist[k]) for k in range(size)]
+
+    def __call__(self, mat: np.ndarray) -> np.ndarray:
+        num_tasks = len(self.tasks)
+        if num_tasks == 0:
+            return np.full(mat.shape, np.nan)
+        pi, graph, dist = self.pi, self.graph, self.dist
+        held = np.zeros(mat.shape[0])
+        held[pi] = held_pi = mat[pi, self.tasks]
+        np.subtract(mat[pi], held_pi[:, None], out=graph[:num_tasks, :num_tasks])
+        if self.free.size:
+            np.negative(held_pi, out=graph[:num_tasks, num_tasks])
+            np.minimum.reduce(mat[self.free], axis=0, out=graph[num_tasks, :num_tasks])
+        self.diagonals[0].fill(np.inf)
+        np.copyto(dist, graph)
+        self.diagonals[1].fill(0.0)
+        for col, row in self.steps:  # Floyd-Warshall, one min-plus step per node
+            np.add(col, row, out=self.sums)
+            np.minimum(dist, self.sums, out=dist)
+        out = np.subtract(mat, held[:, None])
+        np.add(out, dist[:num_tasks, self.node].T, out=out)
+        # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
+        np.subtract(0.0, out, out=out)
+        out[self.non_edge] = np.nan
+        np.add(graph[:num_tasks], dist[:, :num_tasks].T, out=self.cycles)
+        out[pi, self.tasks] = np.minimum.reduce(self.cycles, axis=1)
+        return out
+
+
+def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
+    """Element-wise sensitivities of every edge relative to the given matching.
+
+    A one-off `ExchangeKernel` call; see there for the values.
+    """
+    return ExchangeKernel(np.isfinite(mat), task_to_agent)(mat)
 
 
 def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
@@ -107,20 +143,17 @@ def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     only when that move lies on a cycle, i.e. when j reaches a's node. Weights
     play no part; only the edge set does.
     """
-    num_agents, num_tasks = mat.shape
-    tasks = np.arange(num_tasks)
-    pi = np.asarray(task_to_agent, dtype=np.intp)
-    node = np.full(num_agents, num_tasks)
-    node[pi] = tasks
     edge = np.isfinite(mat)
+    kernel = ExchangeKernel(edge, task_to_agent)
+    num_tasks, node, size = len(kernel.tasks), kernel.node, kernel.size
     # reach[s, u]: some path leads from node s to node u; node Z = num_tasks.
-    reach = np.zeros((num_tasks + 1, num_tasks + 1), dtype=bool)
+    reach = np.zeros((size, size), dtype=bool)
     rows, cols = np.nonzero(edge)
     reach[node[rows], cols] = True
-    reach[tasks, tasks] = False
-    if num_agents > num_tasks:
+    reach[kernel.tasks, kernel.tasks] = False
+    if kernel.free.size:
         reach[:num_tasks, num_tasks] = True
-    for k in range(num_tasks + 1):  # Warshall, one step per node
+    for k in range(size):  # Warshall, one step per node
         reach |= reach[:, k, None] & reach[k]
     return edge & ~reach[:num_tasks, node].T
 

@@ -21,12 +21,16 @@ from .errors import (
     ParseError,
 )
 from .io import (
+    edge_values,
     encode_number,
+    format_grid,
     format_number,
+    interval_values,
     parse_error_bounds,
     parse_matrix,
     parse_perturbation,
     parse_scenario,
+    perturbation_dict,
     simlog_records,
 )
 from .perturb import (
@@ -41,7 +45,7 @@ from .perturb import (
     halfspace_intervals,
     verify_allowable,
 )
-from .sim import run_simulation
+from .sim import run_simulation, summarize
 
 _JSON_SEP = (",", ":")
 
@@ -54,25 +58,18 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, separators=_JSON_SEP))
 
 
+def _print_instance_json(instance: BipartiteInstance, **fields) -> None:
+    _print_json({"num_agents": instance.num_agents, "num_tasks": instance.num_tasks, **fields})
+
+
 def _load_instance(path: str) -> BipartiteInstance:
     return parse_matrix(Path(path).read_text())
 
 
-def _grid_lines(instance: BipartiteInstance, values: dict) -> list[str]:
-    lines = []
-    for a in range(instance.num_agents):
-        tokens = []
-        for b in range(instance.num_tasks):
-            if (a, b) in values:
-                tokens.append(format_number(values[(a, b)]))
-            else:
-                tokens.append("x")
-        lines.append(",".join(tokens))
-    return lines
-
-
-def _edge_triples(values: dict) -> list[list]:
-    return [[a, b, encode_number(v)] for (a, b), v in sorted(values.items())]
+def _print_perturbation(instance: BipartiteInstance, pert: Perturbation) -> None:
+    print(format_grid(instance, pert.deltas), end="")
+    for edge in sorted(pert.saturated):
+        print(f"saturated {edge[0]},{edge[1]}")
 
 
 def _resolve_perturbation(args, instance: BipartiteInstance, assignment) -> Perturbation:
@@ -98,14 +95,11 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.input)
     report = solve_lap(instance)
     if args.format == "json":
-        _print_json(
-            {
-                "num_agents": instance.num_agents,
-                "num_tasks": instance.num_tasks,
-                "assignment": [[t, a] for t, a in report.assignment.pairs],
-                "cost": report.cost,
-                "unique": report.unique,
-            }
+        _print_instance_json(
+            instance,
+            assignment=[[t, a] for t, a in report.assignment.pairs],
+            cost=report.cost,
+            unique=report.unique,
         )
     else:
         for t, a in report.assignment.pairs:
@@ -120,15 +114,9 @@ def _cmd_sensitivity(args) -> int:
     assignment = solve_lap(instance).assignment
     sens = elementwise_sensitivities(instance, assignment)
     if args.format == "json":
-        _print_json(
-            {
-                "num_agents": instance.num_agents,
-                "num_tasks": instance.num_tasks,
-                "sensitivities": _edge_triples(sens.values),
-            }
-        )
+        _print_instance_json(instance, sensitivities=edge_values(sens.values))
     else:
-        print("\n".join(_grid_lines(instance, dict(sens.values))))
+        print(format_grid(instance, sens.values), end="")
     return 0
 
 
@@ -138,18 +126,9 @@ def _cmd_bound(args) -> int:
     sens = elementwise_sensitivities(instance, assignment)
     pert = divided_bound(sens, instance.num_tasks)
     if args.format == "json":
-        _print_json(
-            {
-                "num_agents": instance.num_agents,
-                "num_tasks": instance.num_tasks,
-                "deltas": _edge_triples(pert.deltas),
-                "saturated": [list(e) for e in sorted(pert.saturated)],
-            }
-        )
+        _print_instance_json(instance, **perturbation_dict(pert))
     else:
-        print("\n".join(_grid_lines(instance, dict(pert.deltas))))
-        for edge in sorted(pert.saturated):
-            print(f"saturated {edge[0]},{edge[1]}")
+        _print_perturbation(instance, pert)
     return 0
 
 
@@ -158,21 +137,15 @@ def _cmd_critical(args) -> int:
     assignment = solve_lap(instance).assignment
     report = critical_search(instance, assignment, args.tol, args.max_iters)
     if args.format == "json":
-        _print_json(
-            {
-                "num_agents": instance.num_agents,
-                "num_tasks": instance.num_tasks,
-                "deltas": _edge_triples(report.perturbation.deltas),
-                "saturated": [list(e) for e in sorted(report.perturbation.saturated)],
-                "iterations": report.iterations,
-                "residual": encode_number(report.residual),
-                "converged": report.converged,
-            }
+        _print_instance_json(
+            instance,
+            **perturbation_dict(report.perturbation),
+            iterations=report.iterations,
+            residual=encode_number(report.residual),
+            converged=report.converged,
         )
     else:
-        print("\n".join(_grid_lines(instance, dict(report.perturbation.deltas))))
-        for edge in sorted(report.perturbation.saturated):
-            print(f"saturated {edge[0]},{edge[1]}")
+        _print_perturbation(instance, report.perturbation)
         print(f"iterations {report.iterations}")
         print(f"residual {format_number(report.residual)}")
         print(f"converged {_bool_token(report.converged)}")
@@ -184,22 +157,11 @@ def _cmd_intervals(args) -> int:
     assignment = solve_lap(instance).assignment
     pert = _resolve_perturbation(args, instance, assignment)
     table = halfspace_intervals(pert, assignment)
-    rows = [
-        [a, b, lo, hi] for (a, b), (lo, hi) in sorted(table.intervals.items())
-    ]
     if args.format == "json":
-        _print_json(
-            {
-                "num_agents": instance.num_agents,
-                "num_tasks": instance.num_tasks,
-                "intervals": [
-                    [a, b, encode_number(lo), encode_number(hi)] for a, b, lo, hi in rows
-                ],
-            }
-        )
+        _print_instance_json(instance, intervals=interval_values(table))
     else:
         print("agent,task,lower,upper")
-        for a, b, lo, hi in rows:
+        for (a, b), (lo, hi) in sorted(table.intervals.items()):
             print(f"{a},{b},{format_number(lo)},{format_number(hi)}")
     return 0
 
@@ -251,18 +213,7 @@ def _render_simlog_table(log) -> list[str]:
             f"step {step.index}: assignment {pairs}, certified "
             f"{_bool_token(step.certified)}, reassigned {_bool_token(step.reassigned)}"
         )
-    records = simlog_records(log)
-    summary = records[-1]["summary"]
-    for key in (
-        "policy",
-        "steps",
-        "total_distance",
-        "reassignments",
-        "certification_step",
-        "reached_all",
-        "optimality_gap",
-    ):
-        value = summary[key]
+    for key, value in dataclasses.asdict(summarize(log)).items():
         if isinstance(value, bool):
             value = _bool_token(value)
         elif value is None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Mapping
 
 from .core import Assignment, BipartiteInstance, Edge, solve_lap
 from .errors import (
@@ -21,14 +22,12 @@ from .errors import (
 )
 from .perturb import (
     DEFAULT_MAX_ITERS,
-    CriticalSearchReport,
     ErrorBounds,
     IntervalTable,
     Perturbation,
     SensitivityMatrix,
     critical_search,
     divided_bound,
-    elementwise_sensitivities,
     halfspace_intervals,
 )
 from .sim import Scenario, SimLog, summarize
@@ -108,16 +107,21 @@ def parse_matrix(text: str) -> BipartiteInstance:
     return BipartiteInstance.from_matrix(rows)
 
 
-def format_matrix(instance: BipartiteInstance) -> str:
-    """Render an instance as a grid that parse_matrix reads back exactly."""
+def format_grid(instance: BipartiteInstance, values: Mapping[Edge, float]) -> str:
+    """Render per-edge values as a grid aligned with the instance; `x` where none."""
     lines = []
     for a in range(instance.num_agents):
-        tokens = []
-        for b in range(instance.num_tasks):
-            w = instance.weights.get((a, b))
-            tokens.append(MISSING_TOKEN if w is None else format_number(w))
+        tokens = [
+            format_number(values[(a, b)]) if (a, b) in values else MISSING_TOKEN
+            for b in range(instance.num_tasks)
+        ]
         lines.append(",".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+def format_matrix(instance: BipartiteInstance) -> str:
+    """Render an instance as a grid that parse_matrix reads back exactly."""
+    return format_grid(instance, instance.weights)
 
 
 def parse_perturbation(text: str, instance: BipartiteInstance) -> Perturbation:
@@ -152,16 +156,7 @@ def format_perturbation(instance: BipartiteInstance, pert: Perturbation) -> str:
     """Render a perturbation as a grid aligned with the instance."""
     if set(pert.deltas) != instance.edges:
         raise ShapeMismatchError("perturbation is not defined on exactly the edge set")
-    lines = []
-    for a in range(instance.num_agents):
-        tokens = []
-        for b in range(instance.num_tasks):
-            if (a, b) in pert.deltas:
-                tokens.append(format_number(pert.deltas[(a, b)]))
-            else:
-                tokens.append(MISSING_TOKEN)
-        lines.append(",".join(tokens))
-    return "\n".join(lines) + "\n"
+    return format_grid(instance, pert.deltas)
 
 
 _SCENARIO_REQUIRED = ("agent_positions", "target_positions", "speed", "noise_bound")
@@ -248,11 +243,9 @@ def analyze(
     report = solve_lap(instance)
     if not report.unique:
         raise DegenerateOptimumError("instance has multiple optimal assignments")
-    sens = elementwise_sensitivities(instance, report.assignment)
+    crit = critical_search(instance, report.assignment, stop_tol, max_iters)
+    sens = crit.sensitivities
     divided = divided_bound(sens, instance.num_tasks)
-    crit: CriticalSearchReport = critical_search(
-        instance, report.assignment, stop_tol, max_iters
-    )
     intervals = halfspace_intervals(crit.perturbation, report.assignment)
     return AnalysisReport(
         num_agents=instance.num_agents,
@@ -270,13 +263,23 @@ def analyze(
     )
 
 
-def _edge_values(mapping) -> list[list]:
+def edge_values(mapping: Mapping[Edge, float]) -> list[list]:
+    """JSON `[agent, task, value]` triples in edge order."""
     return [[a, b, encode_number(v)] for (a, b), v in sorted(mapping.items())]
 
 
-def _pert_dict(pert: Perturbation) -> dict:
+def interval_values(table: IntervalTable) -> list[list]:
+    """JSON `[agent, task, lower, upper]` rows in edge order."""
+    return [
+        [a, b, encode_number(lo), encode_number(hi)]
+        for (a, b), (lo, hi) in sorted(table.intervals.items())
+    ]
+
+
+def perturbation_dict(pert: Perturbation) -> dict:
+    """JSON fields `deltas` and `saturated` of a perturbation."""
     return {
-        "deltas": _edge_values(pert.deltas),
+        "deltas": edge_values(pert.deltas),
         "saturated": [list(e) for e in sorted(pert.saturated)],
     }
 
@@ -296,16 +299,13 @@ def report_to_json(report: AnalysisReport) -> str:
         "assignment": [[t, a] for t, a in report.assignment.pairs],
         "cost": report.cost,
         "unique": report.unique,
-        "sensitivities": _edge_values(report.sensitivities.values),
-        "divided": _pert_dict(report.divided),
-        "critical": _pert_dict(report.critical),
+        "sensitivities": edge_values(report.sensitivities.values),
+        "divided": perturbation_dict(report.divided),
+        "critical": perturbation_dict(report.critical),
         "critical_iterations": report.critical_iterations,
         "critical_residual": encode_number(report.critical_residual),
         "critical_converged": report.critical_converged,
-        "intervals": [
-            [a, b, encode_number(lo), encode_number(hi)]
-            for (a, b), (lo, hi) in sorted(report.intervals.intervals.items())
-        ],
+        "intervals": interval_values(report.intervals),
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -354,19 +354,5 @@ def simlog_records(log: SimLog) -> list[dict]:
                 "reassigned": step.reassigned,
             }
         )
-    metrics = summarize(log)
-    records.append(
-        {
-            "seed": seed,
-            "summary": {
-                "policy": metrics.policy,
-                "steps": metrics.steps,
-                "total_distance": metrics.total_distance,
-                "reassignments": metrics.reassignments,
-                "certification_step": metrics.certification_step,
-                "reached_all": metrics.reached_all,
-                "optimality_gap": metrics.optimality_gap,
-            },
-        }
-    )
+    records.append({"seed": seed, "summary": asdict(summarize(log))})
     return records

@@ -110,6 +110,8 @@ class CriticalSearchReport:
 
     The perturbation is allowable whether or not the search converged;
     `residual` is the largest remaining absolute finite sensitivity.
+    `sensitivities` are those of the unperturbed instance, where the search
+    started.
     """
 
     perturbation: Perturbation
@@ -117,6 +119,7 @@ class CriticalSearchReport:
     residual: float
     converged: bool
     trace: tuple[TraceStep, ...] | None = None
+    sensitivities: SensitivityMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,22 @@ def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
     return base <= res[0] + tol
 
 
+def _sensitivity_matrix(
+    instance: BipartiteInstance, pi: np.ndarray, dense: np.ndarray, allow_degenerate: bool
+) -> SensitivityMatrix:
+    """Checked per-edge values of `dense`, the sensitivities of optimum `pi`."""
+    if not _stays_optimal(instance._dense, pi, COST_TOL):
+        raise ValueError("the reference assignment is not an optimum of the instance")
+    values = {(a, b): float(dense[a, b]) for a, b in instance.sorted_edges()}
+    if not allow_degenerate:
+        for edge, v in values.items():
+            if abs(v) <= COST_TOL:
+                raise DegenerateOptimumError(
+                    f"optimum is not unique: flipping edge {edge} does not change the cost"
+                )
+    return SensitivityMatrix(values)
+
+
 def elementwise_sensitivities(
     instance: BipartiteInstance,
     optimum: Assignment,
@@ -177,17 +196,8 @@ def elementwise_sensitivities(
     graph (see `_solver`); no edge needs a solve of its own.
     """
     pi = _pi_array(instance, optimum)
-    if not _stays_optimal(instance._dense, pi, COST_TOL):
-        raise ValueError("the reference assignment is not an optimum of the instance")
     dense = _solver.sens_dense(instance._dense, pi)
-    values = {(a, b): float(dense[a, b]) for a, b in instance.sorted_edges()}
-    if not allow_degenerate:
-        for edge, v in values.items():
-            if abs(v) <= COST_TOL:
-                raise DegenerateOptimumError(
-                    f"optimum is not unique: flipping edge {edge} does not change the cost"
-                )
-    return SensitivityMatrix(values)
+    return _sensitivity_matrix(instance, pi, dense, allow_degenerate)
 
 
 def divided_bound(
@@ -277,42 +287,52 @@ def critical_search(
     one capped step, are flagged saturated and then stay fixed; the residual
     covers the finite sensitivities only; when there are none it is infinite
     and the search stops after its first pass, since nothing moves after it.
+    `saturation_cap` must be positive.
 
-    The reference optimum must be unique (DegenerateOptimumError otherwise).
+    One `_solver.ExchangeKernel` serves every pass. The reference optimum must
+    be unique (DegenerateOptimumError otherwise).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if stop_tol is not None and stop_tol <= 0:
         raise ValueError("stop_tol must be positive")
-    sens0 = elementwise_sensitivities(instance, optimum)
+    if not saturation_cap > 0:
+        raise ValueError("saturation_cap must be positive")
+    mat = instance._dense
+    pi = _pi_array(instance, optimum)
+    edge_mask = np.isfinite(mat)
+    kernel = _solver.ExchangeKernel(edge_mask, pi)
+    sens = kernel(mat)
+    sens0 = _sensitivity_matrix(instance, pi, sens, allow_degenerate=False)
     tol = stop_tol if stop_tol is not None else default_stop_tol(sens0)
     edges = instance.sorted_edges()
     saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
 
-    mat = instance._dense
-    pi = _pi_array(instance, optimum)
-    edge_mask = np.isfinite(mat)
-    shape = (instance.num_agents, instance.num_tasks)
-    sens = np.full(shape, np.nan)
-    for edge, v in sens0.values.items():
-        sens[edge] = v
     # A flip's feasibility depends on the edge set alone, so `finite` holds on
     # every pass. With edges but no finite sensitivity the residual stays inf.
     finite = np.isfinite(sens)
     all_saturated = bool(edges) and not finite.any()
     floor = math.inf if all_saturated else 0.0
-    delta = np.zeros(shape)
-    residual = float(np.abs(sens[finite]).max(initial=floor))
+    delta = np.zeros(mat.shape)
+    step, weights = np.empty(mat.shape), np.empty(mat.shape)
+    residual = float(np.maximum.reduce(np.abs(sens, out=step), None, where=finite, initial=floor))
     two_n = 2.0 * instance.num_tasks
     moving = edge_mask
     iterations = 0
     trace: list[TraceStep] = []
     while residual > tol and iterations < max_iters:
-        step = np.clip(sens, -saturation_cap, saturation_cap) / two_n
-        delta = delta + np.where(moving, step, 0.0)
+        # Clamping to +/-cap as np.clip does. Entries left out of the masked
+        # add are never -0.0 (non-edges stay +0.0, saturated edges hold
+        # +/-cap/2N), so skipping them equals adding +0.0.
+        np.maximum(sens, -saturation_cap, out=step)
+        np.minimum(step, saturation_cap, out=step)
+        np.divide(step, two_n, out=step)
+        np.add(delta, step, out=delta, where=moving)
         moving = finite  # saturated edges take one capped step, then stay put
-        sens = _solver.sens_dense(mat + delta, pi)
-        residual = float(np.abs(sens[finite]).max(initial=floor))
+        sens = kernel(np.add(mat, delta, out=weights))
+        residual = float(
+            np.maximum.reduce(np.abs(sens, out=step), None, where=finite, initial=floor)
+        )
         iterations += 1
         if keep_trace:
             trace.append(
@@ -330,6 +350,7 @@ def critical_search(
         residual,
         residual <= tol,
         tuple(trace) if keep_trace else None,
+        sens0,
     )
 
 
@@ -347,11 +368,12 @@ def is_critical(
     with edges but no feasible flip the answer is False.
     """
     pi = _pi_array(instance, optimum)
+    kernel = _solver.ExchangeKernel(np.isfinite(instance._dense), pi)
     if tol is None:
         tol = default_stop_tol(
-            elementwise_sensitivities(instance, optimum, allow_degenerate=True)
+            _sensitivity_matrix(instance, pi, kernel(instance._dense), allow_degenerate=True)
         )
-    sens = _solver.sens_dense(_perturbed_dense(instance, pert), pi)
+    sens = kernel(_perturbed_dense(instance, pert))
     finite = np.isfinite(sens)
     if instance.edges and not finite.any():
         return False

@@ -22,7 +22,6 @@ from .perturb import (
     certify_optimal,
     critical_search,
     divided_bound,
-    elementwise_sensitivities,
 )
 
 Point = tuple[float, float]
@@ -153,8 +152,7 @@ def _allowable_perturbation(instance: BipartiteInstance, assn: Assignment) -> Pe
         report = critical_search(instance, assn)
         if report.converged:
             return report.perturbation
-        sens = elementwise_sensitivities(instance, assn)
-        return divided_bound(sens, instance.num_tasks)
+        return divided_bound(report.sensitivities, instance.num_tasks)
     except DegenerateOptimumError:
         return Perturbation.zeros(instance.edges)
 

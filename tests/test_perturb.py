@@ -64,7 +64,8 @@ class TestElementwiseSensitivities:
         with pytest.raises(DegenerateOptimumError):
             elementwise_sensitivities(inst, assn)
         sens = elementwise_sensitivities(inst, assn, allow_degenerate=True)
-        assert all(v == 0 for v in sens.values.values())
+        # Exact ties are +0.0, never -0.0, so they print as "0.0".
+        assert all(math.copysign(1.0, v) == 1.0 and v == 0 for v in sens.values.values())
 
     def test_non_optimal_reference_rejected(self, demo_instance):
         with pytest.raises(ValueError):
@@ -197,6 +198,19 @@ class TestCriticalSearch:
             critical_search(demo_instance, demo_optimum, max_iters=0)
         with pytest.raises(ValueError):
             critical_search(demo_instance, demo_optimum, stop_tol=0.0)
+        with pytest.raises(ValueError):
+            critical_search(demo_instance, demo_optimum, saturation_cap=0.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[[91, 33, 15], [5, 86, 92], [85, 9, 42]], [[91, 33, 15], [None, 86, 92], [None, 9, 42]]],
+        ids=["reference", "infeasible-flips"],
+    )
+    def test_report_keeps_initial_sensitivities(self, grid):
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        report = critical_search(inst, assn)
+        assert report.sensitivities == elementwise_sensitivities(inst, assn)
 
     @pytest.mark.parametrize(
         "grid, passes",

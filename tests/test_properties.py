@@ -31,7 +31,9 @@ from lapsens import (
     uniqueness_check,
     verify_allowable,
 )
-from lapsens._solver import fixed_edges
+from lapsens import _solver
+from lapsens._solver import ExchangeKernel, fixed_edges
+from lapsens.perturb import DEFAULT_MAX_ITERS, DEFAULT_SATURATION_CAP, default_stop_tol
 
 from conftest import (
     oracle_constrained_sensitivities,
@@ -349,6 +351,112 @@ class TestFixedEdgesProperties:
             for b, w in enumerate(row):
                 agree = len({m[b] == a for _, m in matchings}) == 1
                 assert got[a, b] == (w is not None and agree)
+
+
+def _dense(grid) -> np.ndarray:
+    return np.array([[np.inf if w is None else w for w in row] for row in grid], dtype=float)
+
+
+class TestExchangeKernelProperties:
+    """One kernel reused across weights must give what a fresh one gives, bit for bit."""
+
+    @SETTINGS
+    @given(sparse_grids(), st.data())
+    def test_reused_kernel_matches_fresh_kernels(self, grid, data):
+        # Any matching, optimal or not; quarter steps give exact ties and zeros.
+        _, perm = data.draw(st.sampled_from(oracle_enumerate(grid)))
+        mat, pi = _dense(grid), np.array(perm)
+        kernel = ExchangeKernel(np.isfinite(mat), pi)
+        quarters = st.integers(-40, 40).map(lambda k: k / 4)
+        returned = []
+        for _ in range(3):
+            shifted = mat + np.array([[data.draw(quarters) for _ in row] for row in grid])
+            got = kernel(shifted)
+            # tobytes compares NaN positions and the sign of zero as well.
+            assert got.tobytes() == ExchangeKernel(np.isfinite(mat), pi)(shifted).tobytes()
+            returned.append((got, got.copy()))
+        for got, kept in returned:
+            assert got.tobytes() == kept.tobytes()
+
+
+def _reference_critical_search(instance, optimum):
+    """`critical_search` written plainly, as its reference.
+
+    It rebuilds the exchange graph through `_solver.sens_dense` on every
+    pass, clamps with `np.clip` and allocates fresh arrays throughout; the
+    answers must match the prepared kernel's bit for bit.
+    """
+    sens0 = elementwise_sensitivities(instance, optimum)
+    tol = default_stop_tol(sens0)
+    edges = instance.sorted_edges()
+    saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
+
+    mat = instance.dense()
+    task_map = optimum.task_map()
+    pi = np.array([task_map[t] for t in range(instance.num_tasks)], dtype=np.intp)
+    edge_mask = np.isfinite(mat)
+    shape = (instance.num_agents, instance.num_tasks)
+    sens = np.full(shape, np.nan)
+    for edge, v in sens0.values.items():
+        sens[edge] = v
+    finite = np.isfinite(sens)
+    all_saturated = bool(edges) and not finite.any()
+    floor = math.inf if all_saturated else 0.0
+    delta = np.zeros(shape)
+    residual = float(np.abs(sens[finite]).max(initial=floor))
+    two_n = 2.0 * instance.num_tasks
+    moving = edge_mask
+    iterations = 0
+    while residual > tol and iterations < DEFAULT_MAX_ITERS:
+        step = np.clip(sens, -DEFAULT_SATURATION_CAP, DEFAULT_SATURATION_CAP) / two_n
+        delta = delta + np.where(moving, step, 0.0)
+        moving = finite
+        sens = _solver.sens_dense(mat + delta, pi)
+        residual = float(np.abs(sens[finite]).max(initial=floor))
+        iterations += 1
+        if all_saturated:
+            break
+    pert = Perturbation({e: float(delta[e]) for e in edges}, saturated)
+    return pert, iterations, residual, residual <= tol
+
+
+def _assert_matches_reference(grid):
+    inst = BipartiteInstance.from_matrix(grid)
+    assn = solve_lap(inst).assignment
+    try:
+        want = _reference_critical_search(inst, assn)
+    except DegenerateOptimumError:
+        assume(False)
+    report = critical_search(inst, assn)
+    pert, iterations, residual, converged = want
+    assert report.iterations == iterations
+    assert report.residual == residual
+    assert report.converged == converged
+    assert report.perturbation.saturated == pert.saturated
+    assert report.perturbation.deltas == pert.deltas
+    # == takes -0.0 for +0.0, so compare the signs of the deltas too.
+    assert [math.copysign(1.0, d) for d in report.perturbation.deltas.values()] == [
+        math.copysign(1.0, pert.deltas[e]) for e in report.perturbation.deltas
+    ]
+
+
+class TestCriticalSearchAgainstReferenceLoop:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[91, 33, 15], [5, 86, 92], [85, 9, 42]],
+            [[91, 33, 15], [None, 86, 92], [None, 9, 42]],
+            [[91, 33, 15], [None, 86, 92], [None, 9, 42], [None, 50, None]],
+        ],
+        ids=["reference", "infeasible-flips", "infeasible-flips-rectangular"],
+    )
+    def test_fixed_instances(self, grid):
+        _assert_matches_reference(grid)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_grids())
+    def test_sparse_grids(self, grid):
+        _assert_matches_reference(grid)
 
 
 class TestFormatsRoundTrip:

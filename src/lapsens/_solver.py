@@ -17,8 +17,12 @@ sensitivity.
 `ExchangeKernel` prepares that pass once per matching and edge set. The
 critical search calls one kernel on every pass, `perturb.is_critical` one for
 both of its passes, and `fixed_edges` reuses its node map; `sens_dense`, the
-one-off form, serves `core.uniqueness_check` and
-`perturb.elementwise_sensitivities`.
+one-off form, serves `unique_optimum` and `perturb.elementwise_sensitivities`.
+
+`solve_canonical` is the whole solve on one matrix: `solve_dense`, the
+uniqueness test from one `sens_dense` call, and `canonical_assignment` only
+when the optimum is tied. `core.solve_lap` wraps it for instances, and
+`sim.run_simulation` calls it on each measured matrix directly.
 """
 from __future__ import annotations
 
@@ -132,6 +136,30 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     A one-off `ExchangeKernel` call; see there for the values.
     """
     return ExchangeKernel(np.isfinite(mat), task_to_agent)(mat)
+
+
+def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:
+    """True when every single-edge flip moves the matching's cost by more than COST_TOL.
+
+    For an optimal matching this says that it is the strictly unique optimum.
+    """
+    return not bool((np.abs(sens_dense(mat, task_to_agent)) <= COST_TOL).any())
+
+
+def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Canonical optimal task->agent map and its uniqueness flag.
+
+    The map is the lexicographically smallest optimum in (task, agent) order;
+    a unique optimum is that one already, so only ties run the search. Returns
+    None when no matching covers every task.
+    """
+    res = solve_dense(mat)
+    if res is None:
+        return None
+    opt_cost, base = res
+    if unique_optimum(mat, base):
+        return base, True
+    return canonical_assignment(mat, base, opt_cost), False
 
 
 def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:

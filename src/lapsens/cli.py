@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
-from .core import BipartiteInstance, solve_lap
+from .core import COST_TOL, BipartiteInstance, solve_lap
 from .errors import (
     DegenerateOptimumError,
     InfeasibleError,
@@ -170,7 +170,8 @@ def _cmd_verify(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
     pert = _resolve_perturbation(args, instance, assignment)
-    ok = verify_allowable(instance, assignment, pert, tol=args.tol or 1e-9)
+    tol = COST_TOL if args.tol is None else args.tol
+    ok = verify_allowable(instance, assignment, pert, tol=tol)
     if args.format == "json":
         _print_json({"allowable": ok})
     else:

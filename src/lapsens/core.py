@@ -175,16 +175,11 @@ def solve_lap(instance: BipartiteInstance) -> SolveReport:
     (task, agent) order, so the result is deterministic. Raises
     InfeasibleError when some task cannot be covered.
     """
-    res = _solver.solve_dense(instance._dense)
+    res = _solver.solve_canonical(instance._dense)
     if res is None:
         raise InfeasibleError("no assignment covers every task")
-    opt_cost, base = res
-    assn = Assignment(tuple((t, int(a)) for t, a in enumerate(base)))
-    unique = uniqueness_check(instance, assn)
-    if not unique:
-        # A unique optimum is already the canonical one; only ties need the search.
-        chosen = _solver.canonical_assignment(instance._dense, base, opt_cost)
-        assn = Assignment(tuple((t, int(a)) for t, a in enumerate(chosen)))
+    task_to_agent, unique = res
+    assn = Assignment(tuple(enumerate(task_to_agent.tolist())))
     return SolveReport(assn, assignment_cost(instance, assn), unique)
 
 
@@ -243,8 +238,7 @@ def uniqueness_check(instance: BipartiteInstance, assn: Assignment) -> bool:
     cost, i.e. that no finite sensitivity is within COST_TOL of zero. `assn`
     must already be optimal for the answer to be meaningful.
     """
-    sens = _solver.sens_dense(instance._dense, _pi_array(instance, assn))
-    return not bool((np.abs(sens) <= COST_TOL).any())
+    return _solver.unique_optimum(instance._dense, _pi_array(instance, assn))
 
 
 def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceResult:

@@ -13,6 +13,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import _solver
 from .core import Assignment, BipartiteInstance, solve_lap
 from .errors import DegenerateOptimumError
 from .perturb import (
@@ -49,6 +50,8 @@ class Scenario:
         object.__setattr__(self, "target_positions", targets)
         if len(targets) < 1:
             raise ValueError("at least one target is required")
+        if not np.isfinite(agents + targets).all():
+            raise ValueError("agent and target coordinates must be finite")
         if len(agents) < len(targets):
             raise ValueError("need at least as many agents as targets")
         if not self.speed > 0:
@@ -172,6 +175,12 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
     decides every lock; steps that `certify_exact` refuses skip its search.
     Ends when every assigned agent has reached its target or after
     `scenario.max_steps` steps (`exhausted=True`).
+
+    Each step solves the measured matrix with `_solver.solve_canonical`, the
+    solve behind `solve_lap`; only an unlocked certified step builds a
+    `BipartiteInstance`, for the two certificates. A step whose solve gives
+    the previous step's map keeps the previous `Assignment`. Raises
+    ValueError when a measured distance overflows to infinity.
     """
     if policy not in ("naive", "certified"):
         raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
@@ -189,9 +198,18 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
         if locked is not None:
             assn = locked
         else:
-            instance = BipartiteInstance.from_matrix(weights)
-            assn = solve_lap(instance).assignment
+            if not np.isfinite(weights).all():
+                a, t = np.argwhere(~np.isfinite(weights))[0]
+                raise ValueError(
+                    f"measured weight for edge ({a}, {t}) must be finite, got {weights[a, t]}"
+                )
+            # With every weight finite and agents >= targets, a matching exists.
+            task_to_agent, _ = _solver.solve_canonical(weights)
+            pairs = tuple(enumerate(task_to_agent.tolist()))
+            same = previous is not None and previous.pairs == pairs
+            assn = previous if same else Assignment(pairs)
             if policy == "certified":
+                instance = BipartiteInstance.from_matrix(weights)
                 bounds = ErrorBounds.uniform(instance.edges, scenario.noise_bound)
                 # The exact test is necessary for the paper's certificate, so
                 # the critical search runs only where a lock is possible.
@@ -206,7 +224,7 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
         steps.append(
             SimStep(
                 k,
-                tuple(tuple(float(w) for w in row) for row in weights),
+                tuple(map(tuple, weights.tolist())),
                 assn,
                 positions,
                 locked is not None,

@@ -158,6 +158,24 @@ class TestVerifyAndCertify:
         assert code == 3
         assert out.strip() == "allowable false"
 
+    @pytest.mark.parametrize("tol", ["0", "1e-12"])
+    def test_verify_tol_below_default_is_kept(self, capsys, tmp_path, tol):
+        # The optimum loses by 5e-10 under this perturbation, inside the
+        # default tolerance but outside both of these.
+        grid, pert = tmp_path / "swap.csv", tmp_path / "pert.csv"
+        grid.write_text("0,10\n10,0\n")
+        pert.write_text("5e-10,-10\n-10,0\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--input", str(grid), "--perturbation", str(pert), "--tol", tol
+        )
+        assert (code, out) == (3, "allowable false\n")
+
+    def test_verify_tol_zero_without_perturbation_is_usage_error(self, capsys, demo_file):
+        # Without --perturbation, --tol is also the critical search's stop tolerance.
+        code, out, err = run_cli(capsys, "verify", "--input", demo_file, "--tol", "0")
+        assert (code, out) == (2, "")
+        assert "stop_tol must be positive" in err
+
     def test_certify_with_uniform_eps(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "certify", "--input", demo_file, "--eps", "8.5")
         assert code == 0
@@ -301,6 +319,22 @@ class TestSimulate:
             capsys, "simulate", "--input", scenario_file, "--seed", "5", "--format", "json"
         )
         assert sweep == single4 + single5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "agents, message",
+        [
+            ("[[NaN,0],[1,0]]", "coordinates must be finite"),
+            ("[[0,0],[1,Infinity]]", "coordinates must be finite"),
+            ("[[-1e308,0],[1,0]]", "measured weight for edge (0, 0) must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_coordinates_are_usage_errors(self, capsys, tmp_path, agents, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(SCENARIO_TEXT.replace("[[0,0],[1,0]]", agents))
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_bad_seed_range(self, capsys, scenario_file):
         code, _, err = run_cli(

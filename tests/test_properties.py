@@ -58,13 +58,14 @@ def dense_grids(draw, min_n=1, max_n=4, lo=0, hi=60):
 
 
 @st.composite
-def sparse_grids(draw, min_n=1, max_n=4):
-    grid = draw(dense_grids(min_n=min_n, max_n=max_n))
+def sparse_grids(draw, min_n=1, max_n=4, solvable=True, hi=60):
+    grid = draw(dense_grids(min_n=min_n, max_n=max_n, hi=hi))
     masked = [
         [w if draw(st.booleans()) else None for w in row]
         for row in grid
     ]
-    assume(oracle_enumerate(masked))  # at least one full matching survives
+    if solvable:
+        assume(oracle_enumerate(masked))  # at least one full matching survives
     return masked
 
 
@@ -153,6 +154,28 @@ class TestSolverAgainstOracle:
     def test_uniqueness_on_sparse_grids(self, grid):
         _, optima = oracle_optima(grid)
         assert solve_lap(BipartiteInstance.from_matrix(grid)).unique == (len(optima) == 1)
+
+
+class TestSolveCanonical:
+    # Weights up to 3 make ties common, so the tie-break is exercised.
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_grids(max_n=5, solvable=False, hi=3))
+    def test_matches_solve_lap_and_oracle(self, grid):
+        instance = BipartiteInstance.from_matrix(grid)
+        result = _solver.solve_canonical(instance.dense())
+        solved = oracle_optima(grid)
+        if solved is None:
+            assert result is None
+            with pytest.raises(InfeasibleError):
+                solve_lap(instance)
+            return
+        task_to_agent, unique = result
+        report = solve_lap(instance)
+        assert tuple(enumerate(task_to_agent.tolist())) == report.assignment.pairs
+        assert unique is report.unique
+        _, optima = solved
+        assert tuple(task_to_agent.tolist()) == optima[0]
+        assert unique == (len(optima) == 1)
 
 
 class TestConstrainedAgainstOracle:

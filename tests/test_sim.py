@@ -15,10 +15,12 @@ from lapsens import (
     exact_distances,
     measure_weights,
     run_simulation,
+    solve_lap,
     step_dynamics,
     summarize,
 )
-from lapsens.sim import _allowable_perturbation
+from lapsens import _solver
+from lapsens.sim import SimLog, SimStep, _allowable_perturbation
 
 
 def swap_scenario(**overrides):
@@ -47,6 +49,65 @@ def contested3_scenario(seed, noise_bound=0.05):
     )
 
 
+def contested4_scenario(seed):
+    """The four-abreast geometry of perfbench/scenarios/contested4.json."""
+    return Scenario(
+        agent_positions=tuple((float(i), 0.0) for i in range(4)),
+        target_positions=tuple((float(i), 10.0) for i in range(4)),
+        speed=0.25,
+        noise_bound=0.05,
+        seed=seed,
+        max_steps=200,
+    )
+
+
+def reference_simulation(scenario, policy):
+    """The step loop on instances: `from_matrix`, `solve_lap`, then the certificates.
+
+    A slow reference for `run_simulation`, which solves each measured matrix
+    on the dense layer instead and keeps an unchanged map's `Assignment`.
+    """
+    positions = scenario.agent_positions
+    targets = scenario.target_positions
+    steps = []
+    total_distance = 0.0
+    reassignments = 0
+    certification_step = None
+    locked = previous = None
+    exhausted = True
+    for k in range(scenario.max_steps):
+        weights = measure_weights(scenario, positions, k)
+        if locked is not None:
+            assn = locked
+        else:
+            instance = BipartiteInstance.from_matrix(weights)
+            assn = solve_lap(instance).assignment
+            if policy == "certified":
+                bounds = ErrorBounds.uniform(instance.edges, scenario.noise_bound)
+                if certify_exact(instance, assn, bounds) and certify_optimal(
+                    _allowable_perturbation(instance, assn), assn, bounds
+                ):
+                    locked = assn
+                    certification_step = k
+        reassigned = previous is not None and assn != previous
+        reassignments += reassigned
+        rows = tuple(tuple(float(w) for w in row) for row in weights)
+        steps.append(SimStep(k, rows, assn, positions, locked is not None, reassigned))
+        moved = step_dynamics(positions, assn, targets, scenario.speed)
+        total_distance += sum(
+            math.hypot(nx - px, ny - py) for (px, py), (nx, ny) in zip(positions, moved)
+        )
+        positions = moved
+        previous = assn
+        if all(positions[a] == targets[t] for t, a in assn.pairs):
+            exhausted = False
+            break
+    return SimLog(
+        policy, scenario, tuple(steps), total_distance, reassignments,
+        certification_step, exhausted, positions,
+    )
+
+
 class TestScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,6 +120,13 @@ class TestScenario:
             swap_scenario(target_positions=())
         with pytest.raises(ValueError):
             swap_scenario(agent_positions=((0.0, 0.0),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            swap_scenario(agent_positions=((0.0, bad), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            swap_scenario(target_positions=((1.0, 10.0), (bad, 10.0)))
 
     def test_positions_coerced_to_float_tuples(self):
         sc = swap_scenario(agent_positions=[[0, 0], [1, 0]])
@@ -190,6 +258,77 @@ class TestRunSimulation:
         log = run_simulation(sc, "certified")
         assert not log.exhausted
         assert log.final_positions[2] == (9.0, 9.0)  # spare agent never moves
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    def test_overflowing_distance_rejected(self, policy):
+        # Finite coordinates 2e308 apart measure an infinite distance.
+        sc = swap_scenario(agent_positions=((-1e308, 0.0), (1.0, 0.0)),
+                           target_positions=((1e308, 0.0), (0.0, 10.0)))
+        with pytest.raises(ValueError, match=r"edge \(0, 0\) must be finite, got inf"):
+            run_simulation(sc, policy)
+
+
+def _tied_scenario():
+    """Zero noise, three agents on one point and two targets on another.
+
+    Every step is an exact tie, and on most steps scipy's optimum is not the
+    canonical one, so the tie-break search decides the assignment.
+    """
+    return Scenario(
+        agent_positions=((-1.0, 0.0),) * 3,
+        target_positions=((1.0, 6.0), (0.0, 6.0), (0.0, 6.0)),
+        speed=0.5,
+        noise_bound=0.0,
+        max_steps=200,
+    )
+
+
+def _rectangular_scenario(seed):
+    """Three agents, two targets; the spare agent changes with the noise."""
+    return Scenario(
+        agent_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+        target_positions=((0.5, 8.0), (1.5, 8.0)),
+        speed=0.5,
+        noise_bound=0.1,
+        seed=seed,
+        max_steps=200,
+    )
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    @pytest.mark.parametrize(
+        "scenarios",
+        [
+            pytest.param([contested3_scenario(s) for s in range(50)], id="contested3"),
+            pytest.param([contested4_scenario(s) for s in range(50)], id="contested4"),
+            pytest.param([_tied_scenario()], id="tied"),
+            pytest.param([_rectangular_scenario(s) for s in range(20)], id="rectangular"),
+        ],
+    )
+    def test_logs_equal_reference(self, scenarios, policy):
+        for sc in scenarios:
+            assert repr(run_simulation(sc, policy)) == repr(reference_simulation(sc, policy))
+
+    def test_tied_scenario_needs_the_tie_break(self):
+        log = run_simulation(_tied_scenario(), "naive")
+        assert len(log.steps) > 10
+        assert not any(
+            solve_lap(BipartiteInstance.from_matrix(step.weights)).unique for step in log.steps
+        )
+        scipy_maps = [tuple(_solver.solve_dense(np.array(s.weights))[1]) for s in log.steps]
+        canonical = [tuple(a for _, a in s.assignment.pairs) for s in log.steps]
+        assert sum(a != b for a, b in zip(scipy_maps, canonical)) > 5
+
+    def test_rectangular_scenario_changes_spare_agent(self):
+        spares = {
+            frozenset(range(3)) - {a for _, a in step.assignment.pairs}
+            for sc in map(_rectangular_scenario, range(20))
+            for step in run_simulation(sc, "naive").steps
+        }
+        assert len(spares) > 1
 
 
 class TestCertifiedPrefilter:

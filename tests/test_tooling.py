@@ -3,11 +3,16 @@
 `perfbench/spans.py` wraps each `(module, attribute)` pair of its `TARGETS`
 with `getattr` and patches `lapsens.cli.ThreadPoolExecutor`; a renamed or
 deleted name stops `perfbench/run.py --trace 1` with `AttributeError`. The
-list is read from the file's source, so nothing of the benchmark is run.
+list is read from the file's source, so nothing of the benchmark is run. The
+tracer also relies on the program calling the solver through those module
+attributes, which the last test checks for one simulation step.
 """
 import ast
 import importlib
 from pathlib import Path
+
+import lapsens._solver
+from lapsens import Scenario, run_simulation
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -34,3 +39,28 @@ def test_every_traced_name_resolves():
 
 def test_patched_executor_name_exists():
     assert hasattr(importlib.import_module("lapsens.cli"), "ThreadPoolExecutor")
+
+
+def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
+    # The tracer sees a simulation step's solve only if the step looks these
+    # names up on `lapsens._solver` at call time.
+    calls = {"solve_dense": 0, "sens_dense": 0}
+    for name in calls:
+        original = getattr(lapsens._solver, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(lapsens._solver, name, counted)
+    scenario = Scenario(
+        agent_positions=tuple((float(i), 0.0) for i in range(4)),
+        target_positions=tuple((float(i), 10.0) for i in range(4)),
+        speed=0.25,
+        noise_bound=0.05,
+        seed=4,
+        max_steps=200,
+    )
+    log = run_simulation(scenario, "naive")
+    assert len(log.steps) > 10
+    assert calls == {"solve_dense": len(log.steps), "sens_dense": len(log.steps)}

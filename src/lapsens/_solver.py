@@ -14,15 +14,20 @@ matching is optimal exactly when no cycle is negative, and each single-edge
 flip is a cheapest cycle, so one all-pairs shortest-path pass yields every
 sensitivity.
 
-`ExchangeKernel` prepares that pass once per matching and edge set. The
-critical search calls one kernel on every pass, `perturb.is_critical` one for
-both of its passes, and `fixed_edges` reuses its node map; `sens_dense`, the
-one-off form, serves `unique_optimum` and `perturb.elementwise_sensitivities`.
+`ExchangeKernel` prepares that pass once per matching and edge set, or once
+per stack of matchings on one edge set: a leading batch axis runs the pass
+for B weight matrices at once, each with its own matching, with the values
+that B separate kernels give. The critical search calls one kernel on every
+pass and `perturb.is_critical` one for both of its passes; `sens_dense`, the
+one-off form, serves `perturb.elementwise_sensitivities`. `unique_optima`
+turns a kernel's values into uniqueness flags, one per matrix:
+`sim.run_sweep` calls it once per step on the stack of every seed that still
+solves, reusing the kernel while their maps stay the same.
 
 `solve_canonical` is the whole solve on one matrix: `solve_dense`, the
-uniqueness test from one `sens_dense` call, and `canonical_assignment` only
-when the optimum is tied. `core.solve_lap` wraps it for instances, and
-`sim.run_simulation` calls it on each measured matrix directly.
+uniqueness test from a one-off kernel (`unique_optimum`), and
+`canonical_assignment` only when the optimum is tied. `core.solve_lap` wraps
+it for instances; `sim.run_sweep` runs the same three steps on its stack.
 """
 from __future__ import annotations
 
@@ -69,65 +74,89 @@ def flip_cost(mat: np.ndarray, a: int, b: int, assigned: bool) -> float:
 
 
 class ExchangeKernel:
-    """The exchange graph of one matching, prepared for any weights on one edge set.
+    """The exchange graphs of a stack of matchings, prepared for any weights on one edge set.
 
-    Built once from the edge mask and the task->agent map: the node of each
-    agent, the free agents that make up node Z, and the graph and distance
-    buffers with their Floyd-Warshall row and column views. Calling it on a
-    weight matrix with that edge set returns the matching's element-wise
-    sensitivities: assigned edges give `flipped_cost - base_cost` (>= 0 at an
-    optimum), unassigned edges give `base_cost - flipped_cost` (<= 0). Entries
-    are +/-inf where the flip is infeasible and NaN at non-edges. Each call
+    Built once from the edge mask and the task->agent maps: a map of shape
+    (tasks,) or a stack of shape (B, tasks), one matching per weight matrix.
+    The build keeps the node of each agent, the flat indices of every gather
+    and scatter, and the graph and distance buffers with their Floyd-Warshall
+    row and column views; a single map is the stack of one. Calling it on
+    weights of the matching shape, (agents, tasks) or (B, agents, tasks),
+    returns each matching's element-wise sensitivities in that shape:
+    assigned edges give `flipped_cost - base_cost` (>= 0 at an optimum),
+    unassigned edges give `base_cost - flipped_cost` (<= 0). Entries are
+    +/-inf where the flip is infeasible and NaN at non-edges. Each call
     returns a new array; the buffers are only reused between calls, so one
     kernel must not be called from two threads at once.
 
     On the exchange graph (module docstring), blocking task t's edge costs the
     cheapest cycle through node t. Forcing agent a onto task j costs
     `W[a, j] - W[a, s]` plus the shortest path j->s when a holds task s, and
-    `W[a, j]` plus the shortest path j->Z when a is free.
+    `W[a, j]` plus the shortest path j->Z when a is free. Every slice of a
+    stack runs the same arithmetic as a matching of its own, so its values
+    are bit for bit those of a one-matching kernel.
     """
 
     def __init__(self, edge: np.ndarray, task_to_agent: np.ndarray):
-        num_agents, num_tasks = edge.shape
-        self.non_edge = ~edge
         self.pi = np.asarray(task_to_agent, dtype=np.intp)
-        self.tasks = np.arange(num_tasks)
-        # Each agent's node: its task, or Z = num_tasks when it is free.
-        self.node = np.full(num_agents, num_tasks)
-        self.node[self.pi] = self.tasks
-        self.free = np.flatnonzero(self.node == num_tasks)
-        self.size = size = num_tasks + int(self.free.size > 0)
-        graph, dist = np.empty((size, size)), np.empty((size, size))
-        self.graph, self.dist, self.sums = graph, dist, np.empty((size, size))
-        self.cycles = np.empty((num_tasks, size))
-        self.diagonals = graph.reshape(-1)[:: size + 1], dist.reshape(-1)[:: size + 1]
-        self.steps = [(dist[:, k, None], dist[k]) for k in range(size)]
+        maps = self.pi if self.pi.ndim == 2 else self.pi[None]
+        batch, num_tasks = maps.shape
+        num_agents = edge.shape[0]
+        self.shape = (batch, num_agents, num_tasks)
+        self.size = size = num_tasks + (num_agents > num_tasks)
+        tasks = np.arange(num_tasks)
+        # Flat (slice, agent) index of each task's holder, and each agent's
+        # node: its task, or Z = num_tasks when it is free.
+        self.holders = maps + num_agents * np.arange(batch)[:, None]
+        node = np.full(batch * num_agents, num_tasks)
+        node[self.holders] = tasks
+        # Flat indices into a (B, agents, tasks) stack: the assigned cells and
+        # the rows of the holders and of the free agents.
+        starts = self.holders * num_tasks
+        self.assigned = starts + tasks
+        self.rows = starts[:, :, None] + tasks
+        if size > num_tasks:
+            free = np.flatnonzero(node == num_tasks) * num_tasks
+            self.free_rows = free.reshape(batch, -1, 1) + tasks
+        # paths[b, a, j] indexes dist[b, j, node of agent a in slice b].
+        node = node.reshape(batch, num_agents, 1)
+        node += size * size * np.arange(batch)[:, None, None]
+        self.paths = node + size * tasks
+        self.non_edge = ~edge
+        graph, dist = np.empty((batch, size, size)), np.empty((batch, size, size))
+        self.graph, self.dist, self.sums = graph, dist, np.empty((batch, size, size))
+        self.cycles = np.empty((batch, num_tasks, size))
+        diagonal = slice(None, None, size + 1)
+        self.diagonals = graph.reshape(batch, -1)[:, diagonal], dist.reshape(batch, -1)[:, diagonal]
+        self.steps = [(dist[:, :, k, None], dist[:, None, k]) for k in range(size)]
 
     def __call__(self, mat: np.ndarray) -> np.ndarray:
-        num_tasks = len(self.tasks)
+        batch, num_agents, num_tasks = self.shape
         if num_tasks == 0:
             return np.full(mat.shape, np.nan)
-        pi, graph, dist = self.pi, self.graph, self.dist
-        held = np.zeros(mat.shape[0])
-        held[pi] = held_pi = mat[pi, self.tasks]
-        np.subtract(mat[pi], held_pi[:, None], out=graph[:num_tasks, :num_tasks])
-        if self.free.size:
-            np.negative(held_pi, out=graph[:num_tasks, num_tasks])
-            np.minimum.reduce(mat[self.free], axis=0, out=graph[num_tasks, :num_tasks])
+        graph, dist = self.graph, self.dist
+        flat = mat.reshape(-1)
+        held_pi = flat.take(self.assigned)
+        held = np.zeros(batch * num_agents)
+        held.put(self.holders, held_pi)
+        np.subtract(flat.take(self.rows), held_pi[:, :, None], out=graph[:, :num_tasks, :num_tasks])
+        if self.size > num_tasks:
+            np.negative(held_pi, out=graph[:, :num_tasks, num_tasks])
+            np.minimum.reduce(flat.take(self.free_rows), axis=1, out=graph[:, num_tasks, :num_tasks])
         self.diagonals[0].fill(np.inf)
         np.copyto(dist, graph)
         self.diagonals[1].fill(0.0)
         for col, row in self.steps:  # Floyd-Warshall, one min-plus step per node
             np.add(col, row, out=self.sums)
             np.minimum(dist, self.sums, out=dist)
-        out = np.subtract(mat, held[:, None])
-        np.add(out, dist[:num_tasks, self.node].T, out=out)
+        out = np.subtract(mat.reshape(self.shape), held.reshape(batch, num_agents, 1))
+        np.add(out, dist.take(self.paths), out=out)
         # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
         np.subtract(0.0, out, out=out)
-        out[self.non_edge] = np.nan
-        np.add(graph[:num_tasks], dist[:, :num_tasks].T, out=self.cycles)
-        out[pi, self.tasks] = np.minimum.reduce(self.cycles, axis=1)
-        return out
+        np.copyto(out, np.nan, where=self.non_edge)
+        np.add(graph[:, :num_tasks], dist[:, :, :num_tasks].transpose(0, 2, 1), out=self.cycles)
+        out.put(self.assigned, np.minimum.reduce(self.cycles, axis=2))
+        return out.reshape(mat.shape)
 
 
 def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
@@ -138,12 +167,20 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     return ExchangeKernel(np.isfinite(mat), task_to_agent)(mat)
 
 
-def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:
-    """True when every single-edge flip moves the matching's cost by more than COST_TOL.
+def unique_optima(kernel: ExchangeKernel, mat: np.ndarray) -> np.ndarray:
+    """Whether each of the kernel's matchings is the strictly unique optimum of its weights.
 
-    For an optimal matching this says that it is the strictly unique optimum.
+    True where every single-edge flip moves the matching's cost by more than
+    COST_TOL; the matching must be optimal for the answer to mean that. `mat`
+    has the kernel's shape, one matrix or a stack, and gives one flag per
+    matrix.
     """
-    return not bool((np.abs(sens_dense(mat, task_to_agent)) <= COST_TOL).any())
+    return ~(np.abs(kernel(mat)) <= COST_TOL).any(axis=(-2, -1))
+
+
+def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:
+    """`unique_optima` of a one-off kernel for one matrix."""
+    return bool(unique_optima(ExchangeKernel(np.isfinite(mat), task_to_agent), mat))
 
 
 def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:
@@ -166,20 +203,24 @@ def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     """Mask of the edges that every full matching uses, or that none uses.
 
     These are the edges whose sensitivity `sens_dense` reports as infinite.
-    On the exchange graph of the given matching (module docstring), edge
+    On the exchange graph of the given matching (module docstring, with the
+    node numbering of `ExchangeKernel`), edge
     (a, j) is the move from a's node to task j, and its membership can change
     only when that move lies on a cycle, i.e. when j reaches a's node. Weights
     play no part; only the edge set does.
     """
     edge = np.isfinite(mat)
-    kernel = ExchangeKernel(edge, task_to_agent)
-    num_tasks, node, size = len(kernel.tasks), kernel.node, kernel.size
+    num_agents, num_tasks = edge.shape
+    tasks = np.arange(num_tasks)
+    node = np.full(num_agents, num_tasks)
+    node[task_to_agent] = tasks
+    size = num_tasks + (num_agents > num_tasks)
     # reach[s, u]: some path leads from node s to node u; node Z = num_tasks.
     reach = np.zeros((size, size), dtype=bool)
     rows, cols = np.nonzero(edge)
     reach[node[rows], cols] = True
-    reach[kernel.tasks, kernel.tasks] = False
-    if kernel.free.size:
+    reach[tasks, tasks] = False
+    if size > num_tasks:
         reach[:num_tasks, num_tasks] = True
     for k in range(size):  # Warshall, one step per node
         reach |= reach[:, k, None] & reach[k]

@@ -45,7 +45,7 @@ from .perturb import (
     halfspace_intervals,
     verify_allowable,
 )
-from .sim import run_simulation, summarize
+from .sim import run_sweep, summarize
 
 _JSON_SEP = (",", ":")
 
@@ -230,8 +230,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     seeds = _parse_seed_range(args.seeds) if args.seeds else [scenario.seed]
-    for seed in seeds:
-        log = run_simulation(dataclasses.replace(scenario, seed=seed), args.policy)
+    for log in run_sweep(scenario, seeds, args.policy):
         if args.format == "json":
             for record in simlog_records(log):
                 print(json.dumps(record, separators=_JSON_SEP))

@@ -12,7 +12,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .core import Assignment, BipartiteInstance, Edge, solve_lap
+from . import _solver
+from .core import Assignment, BipartiteInstance, Edge, assignment_cost
 from .errors import (
     DegenerateOptimumError,
     InfeasibleError,
@@ -238,21 +239,28 @@ def analyze(
     """Solve an instance and run the whole perturbation analysis on it.
 
     Requires a unique optimum (DegenerateOptimumError otherwise). The
-    interval table extends the converged critical perturbation.
+    critical search's first pass is also the uniqueness test, so the
+    optimum's exchange graph is solved once; a unique optimum is the one
+    `solve_lap` returns. The interval table extends the converged critical
+    perturbation.
     """
-    report = solve_lap(instance)
-    if not report.unique:
-        raise DegenerateOptimumError("instance has multiple optimal assignments")
-    crit = critical_search(instance, report.assignment, stop_tol, max_iters)
+    res = _solver.solve_dense(instance._dense)
+    if res is None:
+        raise InfeasibleError("no assignment covers every task")
+    assignment = Assignment(tuple(enumerate(res[1].tolist())))
+    try:
+        crit = critical_search(instance, assignment, stop_tol, max_iters)
+    except DegenerateOptimumError:
+        raise DegenerateOptimumError("instance has multiple optimal assignments") from None
     sens = crit.sensitivities
     divided = divided_bound(sens, instance.num_tasks)
-    intervals = halfspace_intervals(crit.perturbation, report.assignment)
+    intervals = halfspace_intervals(crit.perturbation, assignment)
     return AnalysisReport(
         num_agents=instance.num_agents,
         num_tasks=instance.num_tasks,
-        assignment=report.assignment,
-        cost=report.cost,
-        unique=report.unique,
+        assignment=assignment,
+        cost=assignment_cost(instance, assignment),
+        unique=True,
         sensitivities=sens,
         divided=divided,
         critical=crit.perturbation,

@@ -8,7 +8,8 @@ distances, then locks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -102,10 +103,13 @@ class RunMetrics:
 
 
 def exact_distances(positions, targets) -> np.ndarray:
-    """Euclidean distance matrix, agents as rows and targets as columns."""
+    """Euclidean distance matrix, agents as rows and targets as columns.
+
+    `positions` may also be a stack of agent position sets, one matrix each.
+    """
     pos = np.asarray(positions, dtype=float)
     tgt = np.asarray(targets, dtype=float)
-    return np.linalg.norm(pos[:, None, :] - tgt[None, :, :], axis=2)
+    return np.linalg.norm(pos[..., None, :] - tgt, axis=-1)
 
 
 def measure_weights(
@@ -164,6 +168,152 @@ def _arrived(positions, assignment: Assignment, targets) -> bool:
     return all(positions[agent] == targets[task] for task, agent in assignment.pairs)
 
 
+class _Run:
+    """One seed's run inside a sweep: its state so far, then its outcome."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.positions = scenario.agent_positions
+        self.steps: list[SimStep] = []
+        self.total_distance = 0.0
+        self.reassignments = 0
+        self.certification_step: int | None = None
+        self.locked: Assignment | None = None
+        self.previous: Assignment | None = None
+        self.outcome: SimLog | ValueError | None = None
+
+    def finish(self, policy: str, exhausted: bool) -> None:
+        self.outcome = SimLog(
+            policy,
+            self.scenario,
+            tuple(self.steps),
+            self.total_distance,
+            self.reassignments,
+            self.certification_step,
+            exhausted,
+            self.positions,
+        )
+
+
+def run_sweep(
+    scenario: Scenario, seeds: Iterable[int], policy: Literal["naive", "certified"]
+) -> Iterator[SimLog]:
+    """Run the scenario once per seed, all seeds in lockstep; yields the logs in seed order.
+
+    Each log is the one that seed's run alone gives (see `run_simulation`).
+    At each step every live seed measures its weights on one stacked
+    distance computation with its own `default_rng((seed, step))` noise, and
+    every seed that still solves gets `_solver.solve_dense` on its matrix.
+    One `_solver.unique_optima` pass over the stack then tests all their
+    optima; its kernel depends on their maps alone and is rebuilt only when
+    that stack of maps changes, and a tied optimum goes to
+    `_solver.canonical_assignment`. Certification stays per seed. A seed
+    whose measured distance overflows to infinity raises ValueError when the
+    iteration reaches it, after the logs of the seeds before it.
+    """
+    if policy not in ("naive", "certified"):
+        raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
+    runs = [_Run(replace(scenario, seed=seed)) for seed in seeds]
+    targets = scenario.target_positions
+    shape = (len(scenario.agent_positions), len(targets))
+    edge = np.ones(shape, dtype=bool)
+    noise_bound = scenario.noise_bound
+    # A solving step has every weight finite, so every seed and step shares
+    # the complete edge set and with it the error bounds.
+    bounds = ErrorBounds.uniform(np.ndindex(shape), noise_bound) if policy == "certified" else None
+    live = runs
+    kernel = None
+    for k in range(scenario.max_steps):
+        if not live:
+            break
+        weights = exact_distances([run.positions for run in live], targets)
+        weights += np.array(
+            [
+                np.random.default_rng((run.scenario.seed, k)).uniform(
+                    -noise_bound, noise_bound, size=shape
+                )
+                for run in live
+            ]
+        )
+        finite = np.isfinite(weights).all(axis=(1, 2))
+        solving = []
+        for i, run in enumerate(live):
+            if run.locked is not None:
+                continue
+            if not finite[i]:
+                a, t = np.argwhere(~np.isfinite(weights[i]))[0]
+                run.outcome = ValueError(
+                    f"measured weight for edge ({a}, {t}) must be finite, got {weights[i, a, t]}"
+                )
+            else:
+                solving.append(i)
+        maps: dict[int, np.ndarray] = {}
+        if solving:
+            # With every weight finite and agents >= targets, a matching exists.
+            solved = [_solver.solve_dense(weights[i]) for i in solving]
+            base = np.array([task_to_agent for _, task_to_agent in solved])
+            if kernel is None or not np.array_equal(kernel.pi, base):
+                kernel = _solver.ExchangeKernel(edge, base)
+            unique = _solver.unique_optima(kernel, weights[solving])
+            for j, i in enumerate(solving):
+                cost, task_to_agent = solved[j]
+                if not unique[j]:
+                    task_to_agent = _solver.canonical_assignment(weights[i], task_to_agent, cost)
+                maps[i] = task_to_agent
+        rows = weights.tolist()
+        for i, run in enumerate(live):
+            if run.outcome is not None:
+                continue
+            if run.locked is not None:
+                assn = run.locked
+            else:
+                pairs = tuple(enumerate(maps[i].tolist()))
+                same = run.previous is not None and run.previous.pairs == pairs
+                assn = run.previous if same else Assignment(pairs)
+                if bounds is not None:
+                    instance = BipartiteInstance.from_matrix(rows[i])
+                    # The exact test is necessary for the paper's certificate,
+                    # so the critical search runs only where a lock is possible.
+                    if certify_exact(instance, assn, bounds) and certify_optimal(
+                        _allowable_perturbation(instance, assn), assn, bounds
+                    ):
+                        run.locked = assn
+                        run.certification_step = k
+            reassigned = run.previous is not None and assn != run.previous
+            if reassigned:
+                run.reassignments += 1
+            run.steps.append(
+                SimStep(
+                    k,
+                    tuple(map(tuple, rows[i])),
+                    assn,
+                    run.positions,
+                    run.locked is not None,
+                    reassigned,
+                )
+            )
+            moved = step_dynamics(run.positions, assn, targets, scenario.speed)
+            run.total_distance += sum(
+                math.hypot(nx - px, ny - py)
+                for (px, py), (nx, ny) in zip(run.positions, moved)
+            )
+            run.positions = moved
+            run.previous = assn
+            if _arrived(moved, assn, targets):
+                run.finish(policy, exhausted=False)
+        live = [run for run in live if run.outcome is None]
+    for run in live:
+        run.finish(policy, exhausted=True)
+    return _in_seed_order(runs)
+
+
+def _in_seed_order(runs: list[_Run]) -> Iterator[SimLog]:
+    for run in runs:
+        if isinstance(run.outcome, ValueError):
+            raise run.outcome
+        yield run.outcome
+
+
 def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) -> SimLog:
     """Run one pursuit simulation under the given re-assignment policy.
 
@@ -176,81 +326,14 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
     Ends when every assigned agent has reached its target or after
     `scenario.max_steps` steps (`exhausted=True`).
 
-    Each step solves the measured matrix with `_solver.solve_canonical`, the
-    solve behind `solve_lap`; only an unlocked certified step builds a
-    `BipartiteInstance`, for the two certificates. A step whose solve gives
-    the previous step's map keeps the previous `Assignment`. Raises
-    ValueError when a measured distance overflows to infinity.
+    Each step solves the measured matrix as `solve_lap` does, on the dense
+    layer; only an unlocked certified step builds a `BipartiteInstance`, for
+    the two certificates. A step whose solve gives the previous step's map
+    keeps the previous `Assignment`. This is `run_sweep` of the scenario's
+    own seed. Raises ValueError when a measured distance overflows to
+    infinity.
     """
-    if policy not in ("naive", "certified"):
-        raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
-    positions = scenario.agent_positions
-    targets = scenario.target_positions
-    steps: list[SimStep] = []
-    total_distance = 0.0
-    reassignments = 0
-    certification_step: int | None = None
-    locked: Assignment | None = None
-    previous: Assignment | None = None
-    exhausted = True
-    for k in range(scenario.max_steps):
-        weights = measure_weights(scenario, positions, k)
-        if locked is not None:
-            assn = locked
-        else:
-            if not np.isfinite(weights).all():
-                a, t = np.argwhere(~np.isfinite(weights))[0]
-                raise ValueError(
-                    f"measured weight for edge ({a}, {t}) must be finite, got {weights[a, t]}"
-                )
-            # With every weight finite and agents >= targets, a matching exists.
-            task_to_agent, _ = _solver.solve_canonical(weights)
-            pairs = tuple(enumerate(task_to_agent.tolist()))
-            same = previous is not None and previous.pairs == pairs
-            assn = previous if same else Assignment(pairs)
-            if policy == "certified":
-                instance = BipartiteInstance.from_matrix(weights)
-                bounds = ErrorBounds.uniform(instance.edges, scenario.noise_bound)
-                # The exact test is necessary for the paper's certificate, so
-                # the critical search runs only where a lock is possible.
-                if certify_exact(instance, assn, bounds) and certify_optimal(
-                    _allowable_perturbation(instance, assn), assn, bounds
-                ):
-                    locked = assn
-                    certification_step = k
-        reassigned = previous is not None and assn != previous
-        if reassigned:
-            reassignments += 1
-        steps.append(
-            SimStep(
-                k,
-                tuple(map(tuple, weights.tolist())),
-                assn,
-                positions,
-                locked is not None,
-                reassigned,
-            )
-        )
-        moved = step_dynamics(positions, assn, targets, scenario.speed)
-        total_distance += sum(
-            math.hypot(nx - px, ny - py)
-            for (px, py), (nx, ny) in zip(positions, moved)
-        )
-        positions = moved
-        previous = assn
-        if _arrived(positions, assn, targets):
-            exhausted = False
-            break
-    return SimLog(
-        policy,
-        scenario,
-        tuple(steps),
-        total_distance,
-        reassignments,
-        certification_step,
-        exhausted,
-        positions,
-    )
+    return next(run_sweep(scenario, [scenario.seed], policy))
 
 
 def summarize(log: SimLog) -> RunMetrics:

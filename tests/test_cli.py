@@ -320,6 +320,15 @@ class TestSimulate:
         )
         assert sweep == single4 + single5
 
+    @pytest.mark.parametrize(
+        "fmt, policy", [("table", "naive"), ("json", "certified"), ("table", "certified")]
+    )
+    def test_sweep_matches_single_runs_in_other_modes(self, capsys, scenario_file, fmt, policy):
+        args = ("simulate", "--input", scenario_file, "--format", fmt, "--policy", policy)
+        _, sweep, _ = run_cli(capsys, *args, "--seeds", "4..8")
+        singles = [run_cli(capsys, *args, "--seed", str(seed))[1] for seed in range(4, 9)]
+        assert sweep == "".join(singles)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
         "agents, message",

@@ -401,6 +401,33 @@ class TestExchangeKernelProperties:
         for got, kept in returned:
             assert got.tobytes() == kept.tobytes()
 
+    @SETTINGS
+    @given(sparse_grids(), st.data())
+    def test_batched_kernel_matches_one_matrix_kernels(self, grid, data):
+        # Every slice weighs the grid's edge set so that a matching of its own
+        # is optimal: that matching's edges weigh +/-0.0 and the others small
+        # integers, which gives ties and signed zeros; missing edges give
+        # infinite flips.
+        mask = np.isfinite(_dense(grid))
+        matchings = [perm for _, perm in oracle_enumerate(grid)]
+        batch = data.draw(st.integers(1, 4))
+        maps = np.array([data.draw(st.sampled_from(matchings)) for _ in range(batch)])
+        zeros, small = st.sampled_from([0.0, -0.0]), st.integers(0, 2).map(float)
+        stack = np.full((batch,) + mask.shape, np.inf)
+        for b, pi in enumerate(maps):
+            for a, t in zip(*np.nonzero(mask)):
+                stack[b, a, t] = data.draw(zeros if pi[t] == a else small)
+        kernel = ExchangeKernel(mask, maps)
+        quarters = st.integers(-8, 8).map(lambda k: k / 4)
+        for _ in range(2):
+            got = kernel(stack)
+            # tobytes compares NaN positions and the sign of zero as well.
+            assert got.tobytes() == ExchangeKernel(mask, maps)(stack).tobytes()
+            for b in range(batch):
+                assert got[b].tobytes() == ExchangeKernel(mask, maps[b])(stack[b]).tobytes()
+            shift = [[[data.draw(quarters) for _ in row] for row in grid] for _ in maps]
+            stack = stack + np.array(shift)
+
 
 def _reference_critical_search(instance, optimum):
     """`critical_search` written plainly, as its reference.

@@ -1,6 +1,7 @@
 """Scenario validation, measurement, kinematics, and the two policies."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lapsens import (
     exact_distances,
     measure_weights,
     run_simulation,
+    run_sweep,
     solve_lap,
     step_dynamics,
     summarize,
@@ -268,6 +270,8 @@ class TestRunSimulation:
                            target_positions=((1e308, 0.0), (0.0, 10.0)))
         with pytest.raises(ValueError, match=r"edge \(0, 0\) must be finite, got inf"):
             run_simulation(sc, policy)
+        with pytest.raises(ValueError, match=r"edge \(0, 0\) must be finite, got inf"):
+            list(run_sweep(sc, range(3), policy))
 
 
 def _tied_scenario():
@@ -329,6 +333,55 @@ class TestAgainstReferenceLoop:
             for step in run_simulation(sc, "naive").steps
         }
         assert len(spares) > 1
+
+
+class TestSweep:
+    """Each seed of a lockstep sweep gets the log of its own run."""
+
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    @pytest.mark.parametrize("count", [1, 2, 5, 9])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(contested3_scenario(0), id="contested3"),
+            pytest.param(contested4_scenario(0), id="contested4"),
+            pytest.param(_tied_scenario(), id="tied"),
+            pytest.param(_rectangular_scenario(0), id="rectangular"),
+            # Seeds 40..48 lock between steps 2 and 12; five of them arrive
+            # at step 20, where the other four run out of steps.
+            pytest.param(dataclasses.replace(contested3_scenario(0), max_steps=20), id="capped"),
+        ],
+    )
+    def test_logs_equal_reference(self, scenario, count, policy):
+        seeds = range(40, 40 + count)
+        want = [
+            repr(reference_simulation(dataclasses.replace(scenario, seed=s), policy))
+            for s in seeds
+        ]
+        assert [repr(log) for log in run_sweep(scenario, seeds, policy)] == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_seed_raises_after_the_seeds_before_it(self):
+        # The targets are 1.4e154 apart, so the squared distance to the far
+        # target overflows once an agent gets close to its own; on some seeds
+        # one agent arrives while the other still moves and measures it.
+        sc = Scenario(
+            agent_positions=((-1.4e152, 1.4e153), (-7e152, 4.9e153)),
+            target_positions=((-7e153, 0.0), (7e153, 0.0)),
+            speed=2.2e153,
+            noise_bound=1.85e153,
+            max_steps=50,
+        )
+        sweep = run_sweep(sc, range(8), "naive")
+        for seed in range(8):
+            try:
+                want = repr(reference_simulation(dataclasses.replace(sc, seed=seed), "naive"))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    next(sweep)
+                break
+            assert repr(next(sweep)) == want
+        assert seed == 2
 
 
 class TestCertifiedPrefilter:

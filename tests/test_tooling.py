@@ -5,14 +5,14 @@ with `getattr` and patches `lapsens.cli.ThreadPoolExecutor`; a renamed or
 deleted name stops `perfbench/run.py --trace 1` with `AttributeError`. The
 list is read from the file's source, so nothing of the benchmark is run. The
 tracer also relies on the program calling the solver through those module
-attributes, which the last test checks for one simulation step.
+attributes, which the last test checks for a seed sweep.
 """
 import ast
 import importlib
 from pathlib import Path
 
 import lapsens._solver
-from lapsens import Scenario, run_simulation
+from lapsens import Scenario, run_sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,9 +42,10 @@ def test_patched_executor_name_exists():
 
 
 def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
-    # The tracer sees a simulation step's solve only if the step looks these
-    # names up on `lapsens._solver` at call time.
-    calls = {"solve_dense": 0, "sens_dense": 0}
+    # The tracer sees a sweep's solves only if the sweep looks these names up
+    # on `lapsens._solver` at call time: one `solve_dense` per seed and step,
+    # and one `unique_optima` pass per lockstep step over every live seed.
+    calls = {"solve_dense": 0, "unique_optima": 0}
     for name in calls:
         original = getattr(lapsens._solver, name)
 
@@ -58,9 +59,8 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
         target_positions=tuple((float(i), 10.0) for i in range(4)),
         speed=0.25,
         noise_bound=0.05,
-        seed=4,
         max_steps=200,
     )
-    log = run_simulation(scenario, "naive")
-    assert len(log.steps) > 10
-    assert calls == {"solve_dense": len(log.steps), "sens_dense": len(log.steps)}
+    lengths = [len(log.steps) for log in run_sweep(scenario, range(4, 8), "naive")]
+    assert len(set(lengths)) > 1
+    assert calls == {"solve_dense": sum(lengths), "unique_optima": max(lengths)}

@@ -15,16 +15,8 @@ from typing import Literal
 import numpy as np
 
 from . import _solver
-from .core import Assignment, BipartiteInstance, solve_lap
-from .errors import DegenerateOptimumError
-from .perturb import (
-    ErrorBounds,
-    Perturbation,
-    certify_exact,
-    certify_optimal,
-    critical_search,
-    divided_bound,
-)
+from .core import Assignment
+from .perturb import _certify_critical, _certify_exact
 
 Point = tuple[float, float]
 
@@ -147,23 +139,6 @@ def step_dynamics(positions, assignment: Assignment, targets, speed: float):
     return tuple(new_positions)
 
 
-def _allowable_perturbation(instance: BipartiteInstance, assn: Assignment) -> Perturbation:
-    """Best available allowable perturbation for certification.
-
-    Prefers the converged critical perturbation; falls back to the divided
-    bound when the search hits its iteration cap, and to the zero
-    perturbation when the optimum is degenerate (certification then fails
-    unless the noise bound is zero, which is the honest answer).
-    """
-    try:
-        report = critical_search(instance, assn)
-        if report.converged:
-            return report.perturbation
-        return divided_bound(report.sensitivities, instance.num_tasks)
-    except DegenerateOptimumError:
-        return Perturbation.zeros(instance.edges)
-
-
 def _arrived(positions, assignment: Assignment, targets) -> bool:
     return all(positions[agent] == targets[task] for task, agent in assignment.pairs)
 
@@ -207,8 +182,11 @@ def run_sweep(
     One `_solver.unique_optima` pass over the stack then tests all their
     optima; its kernel depends on their maps alone and is rebuilt only when
     that stack of maps changes, and a tied optimum goes to
-    `_solver.canonical_assignment`. Certification stays per seed. A seed
-    whose measured distance overflows to infinity raises ValueError when the
+    `_solver.canonical_assignment`. Certification stays per seed, on arrays:
+    a solving step of any seed has every weight finite, so all of them share
+    the complete edge set and the scalar bound, and the exchange kernel and
+    `_solver.fixed_edges` of a map are built once per sweep. A seed whose
+    measured distance overflows to infinity raises ValueError when the
     iteration reaches it, after the logs of the seeds before it.
     """
     if policy not in ("naive", "certified"):
@@ -218,9 +196,7 @@ def run_sweep(
     shape = (len(scenario.agent_positions), len(targets))
     edge = np.ones(shape, dtype=bool)
     noise_bound = scenario.noise_bound
-    # A solving step has every weight finite, so every seed and step shares
-    # the complete edge set and with it the error bounds.
-    bounds = ErrorBounds.uniform(np.ndindex(shape), noise_bound) if policy == "certified" else None
+    certifiers: dict[bytes, tuple[_solver.ExchangeKernel, np.ndarray]] = {}
     live = runs
     kernel = None
     for k in range(scenario.max_steps):
@@ -270,12 +246,19 @@ def run_sweep(
                 pairs = tuple(enumerate(maps[i].tolist()))
                 same = run.previous is not None and run.previous.pairs == pairs
                 assn = run.previous if same else Assignment(pairs)
-                if bounds is not None:
-                    instance = BipartiteInstance.from_matrix(rows[i])
+                if policy == "certified":
+                    pi = maps[i]
+                    key = pi.tobytes()
+                    if key not in certifiers:
+                        certifiers[key] = (
+                            _solver.ExchangeKernel(edge, pi),
+                            _solver.fixed_edges(weights[i], pi),
+                        )
+                    search_kernel, fixed = certifiers[key]
                     # The exact test is necessary for the paper's certificate,
                     # so the critical search runs only where a lock is possible.
-                    if certify_exact(instance, assn, bounds) and certify_optimal(
-                        _allowable_perturbation(instance, assn), assn, bounds
+                    if _certify_exact(weights[i], pi, noise_bound, fixed) and _certify_critical(
+                        search_kernel, weights[i], pi, noise_bound
                     ):
                         run.locked = assn
                         run.certification_step = k
@@ -322,16 +305,17 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
     measured optimum is provably optimal for the true distances given the
     noise bound; once certified, the assignment is locked and never changes.
     The paper's certificate (`certify_optimal` on the critical perturbation)
-    decides every lock; steps that `certify_exact` refuses skip its search.
-    Ends when every assigned agent has reached its target or after
-    `scenario.max_steps` steps (`exhausted=True`).
+    decides every lock; steps that `certify_exact` refuses skip its search,
+    and the search stops at its first iterate that certifies. When the
+    search runs out of passes, its last iterate decides. Ends when every
+    assigned agent has reached its target or after `scenario.max_steps`
+    steps (`exhausted=True`).
 
-    Each step solves the measured matrix as `solve_lap` does, on the dense
-    layer; only an unlocked certified step builds a `BipartiteInstance`, for
-    the two certificates. A step whose solve gives the previous step's map
-    keeps the previous `Assignment`. This is `run_sweep` of the scenario's
-    own seed. Raises ValueError when a measured distance overflows to
-    infinity.
+    Each step solves the measured matrix as `solve_lap` does, and certifies
+    it, on the dense layer, with no `BipartiteInstance`. A step whose solve
+    gives the previous step's map keeps the previous `Assignment`. This is
+    `run_sweep` of the scenario's own seed. Raises ValueError when a
+    measured distance overflows to infinity.
     """
     return next(run_sweep(scenario, [scenario.seed], policy))
 
@@ -344,11 +328,12 @@ def summarize(log: SimLog) -> RunMetrics:
     possible total straight-line travel).
     """
     scenario = log.scenario
-    ideal = solve_lap(
-        BipartiteInstance.from_matrix(
-            exact_distances(scenario.agent_positions, scenario.target_positions)
-        )
-    ).cost
+    dist = exact_distances(scenario.agent_positions, scenario.target_positions)
+    task_to_agent, _ = _solver.solve_canonical(dist)
+    # Summed in task order from 0.0, as `assignment_cost` sums `solve_lap`'s cost.
+    ideal = 0.0
+    for weight in dist[task_to_agent, np.arange(len(task_to_agent))].tolist():
+        ideal += weight
     return RunMetrics(
         policy=log.policy,
         steps=len(log.steps),

@@ -1,8 +1,13 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lapsens
 from lapsens.cli import main
 
 from conftest import DEMO_SENSITIVITIES
@@ -387,3 +392,29 @@ class TestExitCodes:
         assert f"cost {payload['cost']}" in table
         for t, a in payload["assignment"]:
             assert f"task {t} -> agent {a}" in table
+
+
+class TestOneParserPerProcess:
+    def test_repeated_calls_print_what_fresh_processes_print(
+        self, capsys, monkeypatch, demo_file, scenario_file
+    ):
+        # `main` builds its parser once per process and reuses it, across a
+        # usage error too. Help and usage text wrap at $COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["solve", "--input", demo_file],
+            ["simulate", "--seed", "4"],
+            ["simulate", "--input", scenario_file, "--seeds", "1..2", "--format", "json"],
+            ["certify", "--help"],
+            ["solve", "--input", demo_file, "--format", "json"],
+        ]
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(lapsens.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "lapsens.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -1,5 +1,6 @@
 """Property-based tests: the fast paths must agree with the independent oracles."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lapsens import (
     uniqueness_check,
     verify_allowable,
 )
-from lapsens import _solver
+from lapsens import _solver, perturb
 from lapsens._solver import ExchangeKernel, fixed_edges
 from lapsens.perturb import DEFAULT_MAX_ITERS, DEFAULT_SATURATION_CAP, default_stop_tol
 
@@ -547,3 +548,126 @@ class TestAssignmentCostConsistency:
         inst = BipartiteInstance.from_matrix(grid)
         report = solve_lap(inst)
         assert assignment_cost(inst, report.assignment) == report.cost
+
+
+def _full_search_certifies(inst, assn, bounds) -> bool:
+    """The paper's certificate on the fully run critical search: the reference."""
+    try:
+        pert = critical_search(inst, assn).perturbation
+    except DegenerateOptimumError:
+        pert = Perturbation.zeros(inst.edges)
+    return certify_optimal(pert, assn, ErrorBounds(bounds))
+
+
+def _early_stop_certifies(inst, assn, bound):
+    """`_certify_critical`'s answer and what each of its searches returned."""
+    mat = inst.dense()
+    pi = np.array([assn.task_map()[t] for t in range(inst.num_tasks)], dtype=np.intp)
+    searches = []
+    search = perturb._search
+
+    def spy(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    with mock.patch.object(perturb, "_search", spy):
+        got = perturb._certify_critical(ExchangeKernel(np.isfinite(mat), pi), mat, pi, bound)
+    return got, searches
+
+
+def _dense_bounds(inst, bounds) -> np.ndarray:
+    out = np.zeros((inst.num_agents, inst.num_tasks))
+    for edge, value in bounds.items():
+        out[edge] = value
+    return out
+
+
+class TestCertifyCriticalEarlyStop:
+    """The simulation's lock test stops the search early and still answers as the full search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_grids(), st.data())
+    def test_matches_full_search_on_sparse_grids(self, grid, data):
+        # Rectangular grids, missing and fixed edges, tied optima.
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        tied = False
+        try:
+            budget = critical_search(inst, assn).perturbation.deltas
+        except DegenerateOptimumError:
+            tied = True
+            budget = {e: data.draw(st.integers(0, 8)) / 4 for e in inst.edges}
+        share = st.floats(0.0, 1.25)
+        drawn = {e: data.draw(share) * abs(d) for e, d in budget.items()}
+        uniform = data.draw(st.floats(0.0, max(map(abs, budget.values()), default=0.0)))
+        for bounds, bound in [
+            ({e: 0.0 for e in inst.edges}, 0.0),
+            (drawn, _dense_bounds(inst, drawn)),
+            ({e: uniform for e in inst.edges}, uniform),
+        ]:
+            got, searches = _early_stop_certifies(inst, assn, bound)
+            assert got == _full_search_certifies(inst, assn, bounds)
+            assert len(searches) == (not tied)
+        if not tied:
+            # Zero bounds: the first iterate of a unique optimum clears them.
+            _, searches = _early_stop_certifies(inst, assn, 0.0)
+            assert [(n, locked) for _, n, _, locked in searches] == [(1, True)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_grids(), st.data())
+    def test_bounds_within_tol_of_converged_deltas_run_the_full_search(self, grid, data):
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        try:
+            report = critical_search(inst, assn)
+        except DegenerateOptimumError:
+            assume(False)
+        tol = default_stop_tol(report.sensitivities)
+        # Each edge clears its bound by at most 0.9 tol at the converged
+        # perturbation, so no earlier iterate clears it by more than tol.
+        wobble = st.floats(-0.9, 0.9)
+        bounds = {
+            e: max(0.0, abs(d) + data.draw(wobble) * tol)
+            for e, d in report.perturbation.deltas.items()
+        }
+        got, searches = _early_stop_certifies(inst, assn, _dense_bounds(inst, bounds))
+        assert got == _full_search_certifies(inst, assn, bounds)
+        [(_, iterations, _, locked)] = searches
+        assert not locked and iterations == report.iterations
+
+    @pytest.mark.parametrize(
+        "grid, bound",
+        [
+            ([[7]], 0.0),
+            ([[7]], 1.0),
+            ([[7]], DEFAULT_SATURATION_CAP / 2),  # clears by 0: decided at the end
+            ([[7]], DEFAULT_SATURATION_CAP / 2 + 1e3),
+            ([[1, 1], [1, 1]], 0.0),  # tied: the zero perturbation
+            ([[1, 1], [1, 1]], 0.25),
+            ([[91, 33, 15], [5, 86, 92], [85, 9, 42]], 8.5),
+            ([[91, 33, 15], [5, 86, 92], [85, 9, 42]], 13.0),
+        ],
+    )
+    def test_fixed_instances(self, grid, bound):
+        inst = BipartiteInstance.from_matrix(grid)
+        assn = solve_lap(inst).assignment
+        got, _ = _early_stop_certifies(inst, assn, bound)
+        assert got == _full_search_certifies(inst, assn, {e: bound for e in inst.edges})
+
+    def test_search_out_of_budget_decides_on_its_last_iterate(self, monkeypatch):
+        # Two passes leave the search far from converged. The bound sits at the
+        # second iterate's smallest delta: that iterate certifies, the first
+        # (the divided bound) does not.
+        monkeypatch.setattr(perturb, "DEFAULT_MAX_ITERS", 2)
+        inst = BipartiteInstance.from_matrix([[91, 33, 15], [5, 86, 92], [85, 9, 42]])
+        assn = solve_lap(inst).assignment
+        report = critical_search(inst, assn, max_iters=2)
+        assert not report.converged
+        bound = min(abs(d) for d in report.perturbation.deltas.values())
+        bounds = ErrorBounds.uniform(inst.edges, bound)
+        assert certify_optimal(report.perturbation, assn, bounds)
+        assert not certify_optimal(divided_bound(report.sensitivities, 3), assn, bounds)
+        got, searches = _early_stop_certifies(inst, assn, bound)
+        assert got
+        [(_, iterations, _, locked)] = searches
+        assert not locked and iterations == 2

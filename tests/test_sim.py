@@ -9,10 +9,14 @@ import pytest
 from lapsens import (
     Assignment,
     BipartiteInstance,
+    DegenerateOptimumError,
     ErrorBounds,
+    Perturbation,
     Scenario,
     certify_exact,
     certify_optimal,
+    critical_search,
+    divided_bound,
     exact_distances,
     measure_weights,
     run_simulation,
@@ -22,7 +26,7 @@ from lapsens import (
     summarize,
 )
 from lapsens import _solver
-from lapsens.sim import SimLog, SimStep, _allowable_perturbation
+from lapsens.sim import SimLog, SimStep
 
 
 def swap_scenario(**overrides):
@@ -63,11 +67,31 @@ def contested4_scenario(seed):
     )
 
 
+def _allowable_perturbation(instance, assn):
+    """The perturbation the paper's certificate is asked about, from the full search.
+
+    The converged critical perturbation; the divided bound when the search
+    runs out of passes; the zero perturbation when the optimum is tied
+    (certification then fails unless the noise bound is zero). On a search
+    that runs out of passes, `run_simulation` decides on its last iterate
+    instead, so it can lock sooner than this reference; no scenario here
+    gets there.
+    """
+    try:
+        report = critical_search(instance, assn)
+        if report.converged:
+            return report.perturbation
+        return divided_bound(report.sensitivities, instance.num_tasks)
+    except DegenerateOptimumError:
+        return Perturbation.zeros(instance.edges)
+
+
 def reference_simulation(scenario, policy):
     """The step loop on instances: `from_matrix`, `solve_lap`, then the certificates.
 
-    A slow reference for `run_simulation`, which solves each measured matrix
-    on the dense layer instead and keeps an unchanged map's `Assignment`.
+    A slow reference for `run_simulation`, which solves and certifies each
+    measured matrix on the dense layer instead, stops the critical search at
+    its first certifying iterate and keeps an unchanged map's `Assignment`.
     """
     positions = scenario.agent_positions
     targets = scenario.target_positions
@@ -301,6 +325,22 @@ def _rectangular_scenario(seed):
     )
 
 
+def _scattered_scenario():
+    """Nine agents and seven targets at seeded random points.
+
+    Its ideal cost summed in agent order differs in the last bit from the
+    sum in task order.
+    """
+    rng = np.random.default_rng(5)
+    return Scenario(
+        agent_positions=tuple(map(tuple, rng.uniform(0, 10, (9, 2)))),
+        target_positions=tuple(map(tuple, rng.uniform(0, 10, (7, 2)))),
+        speed=0.5,
+        noise_bound=0.02,
+        max_steps=100,
+    )
+
+
 class TestAgainstReferenceLoop:
     @pytest.mark.parametrize("policy", ["naive", "certified"])
     @pytest.mark.parametrize(
@@ -444,3 +484,21 @@ class TestSummarize:
         assert metrics.total_distance == log.total_distance
         assert metrics.reassignments == log.reassignments
         assert metrics.certification_step == log.certification_step
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(swap_scenario(), id="swap"),
+            pytest.param(contested4_scenario(0), id="contested4"),
+            pytest.param(_tied_scenario(), id="tied"),
+            pytest.param(_rectangular_scenario(0), id="rectangular"),
+            pytest.param(_scattered_scenario(), id="scattered"),
+        ],
+    )
+    def test_ideal_cost_is_solve_lap_cost(self, scenario):
+        log = run_simulation(scenario, "naive")
+        dist = exact_distances(scenario.agent_positions, scenario.target_positions)
+        ideal = solve_lap(BipartiteInstance.from_matrix(dist)).cost
+        gap = summarize(log).optimality_gap
+        assert type(gap) is float
+        assert gap == log.total_distance - ideal

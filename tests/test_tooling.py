@@ -5,14 +5,15 @@ with `getattr` and patches `lapsens.cli.ThreadPoolExecutor`; a renamed or
 deleted name stops `perfbench/run.py --trace 1` with `AttributeError`. The
 list is read from the file's source, so nothing of the benchmark is run. The
 tracer also relies on the program calling the solver through those module
-attributes, which the last test checks for a seed sweep.
+attributes, which the naive sweep's test checks. The certified sweep's test
+pins that certification stays on arrays.
 """
 import ast
 import importlib
 from pathlib import Path
 
 import lapsens._solver
-from lapsens import Scenario, run_sweep
+from lapsens import BipartiteInstance, Scenario, run_sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -64,3 +65,52 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
     lengths = [len(log.steps) for log in run_sweep(scenario, range(4, 8), "naive")]
     assert len(set(lengths)) > 1
     assert calls == {"solve_dense": sum(lengths), "unique_optima": max(lengths)}
+
+
+def test_certified_step_builds_no_instance_and_one_fixed_edges_per_map(monkeypatch):
+    # An unlocked certified step certifies on arrays: no `BipartiteInstance`,
+    # and `fixed_edges` with a one-map exchange kernel once per map of the
+    # sweep, however many steps and seeds give that map. The batched
+    # uniqueness kernel is still rebuilt only when the stack of maps changes.
+    calls = {"instances": 0, "fixed_edges": 0, "one_map_kernels": 0, "stacked_kernels": 0}
+    post_init = BipartiteInstance.__post_init__
+    fixed_edges = lapsens._solver.fixed_edges
+    kernel_init = lapsens._solver.ExchangeKernel.__init__
+
+    def counted_post_init(self):
+        calls["instances"] += 1
+        post_init(self)
+
+    def counted_fixed_edges(*args):
+        calls["fixed_edges"] += 1
+        return fixed_edges(*args)
+
+    def counted_kernel_init(self, edge, task_to_agent):
+        calls["one_map_kernels" if task_to_agent.ndim == 1 else "stacked_kernels"] += 1
+        kernel_init(self, edge, task_to_agent)
+
+    monkeypatch.setattr(BipartiteInstance, "__post_init__", counted_post_init)
+    monkeypatch.setattr(lapsens._solver, "fixed_edges", counted_fixed_edges)
+    monkeypatch.setattr(lapsens._solver.ExchangeKernel, "__init__", counted_kernel_init)
+    scenario = Scenario(
+        agent_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+        target_positions=((0.0, 10.0), (1.0, 10.0), (2.0, 10.0)),
+        speed=0.5,
+        noise_bound=0.05,
+        max_steps=200,
+    )
+    logs = list(run_sweep(scenario, range(4), "certified"))
+    # Every optimum here is unique, so the solver's maps are the assignments.
+    stacks = [
+        [log.steps[k].assignment for log in logs if k <= log.certification_step]
+        for k in range(max(log.certification_step for log in logs) + 1)
+    ]
+    unlocked = {assn for stack in stacks for assn in stack}
+    assert sum(map(len, stacks)) > 2 * len(unlocked) > 2
+    changes = sum(a != b for a, b in zip([None] + stacks, stacks))
+    assert calls == {
+        "instances": 0,
+        "fixed_edges": len(unlocked),
+        "one_map_kernels": len(unlocked),
+        "stacked_kernels": changes,
+    }

@@ -24,6 +24,11 @@ turns a kernel's values into uniqueness flags, one per matrix:
 `sim.run_sweep` calls it once per step on the stack of every seed that still
 solves, reusing the kernel while their maps stay the same.
 
+A sensitivity is infinite exactly where every full matching uses the edge,
+or none does. So the mask of infinities depends on the edge set alone, not
+on the weights or on which full matching the kernel holds: `certify_exact`
+takes its fixed edges from it, and `sim.run_sweep` computes it once per sweep.
+
 `solve_canonical` is the whole solve on one matrix: `solve_dense`, the
 uniqueness test from a one-off kernel (`unique_optimum`), and
 `canonical_assignment` only when the optimum is tied. `core.solve_lap` wraps
@@ -199,40 +204,11 @@ def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:
     return canonical_assignment(mat, base, opt_cost), False
 
 
-def fixed_edges(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
-    """Mask of the edges that every full matching uses, or that none uses.
-
-    These are the edges whose sensitivity `sens_dense` reports as infinite.
-    On the exchange graph of the given matching (module docstring, with the
-    node numbering of `ExchangeKernel`), edge
-    (a, j) is the move from a's node to task j, and its membership can change
-    only when that move lies on a cycle, i.e. when j reaches a's node. Weights
-    play no part; only the edge set does.
-    """
-    edge = np.isfinite(mat)
-    num_agents, num_tasks = edge.shape
-    tasks = np.arange(num_tasks)
-    node = np.full(num_agents, num_tasks)
-    node[task_to_agent] = tasks
-    size = num_tasks + (num_agents > num_tasks)
-    # reach[s, u]: some path leads from node s to node u; node Z = num_tasks.
-    reach = np.zeros((size, size), dtype=bool)
-    rows, cols = np.nonzero(edge)
-    reach[node[rows], cols] = True
-    reach[tasks, tasks] = False
-    if size > num_tasks:
-        reach[:num_tasks, num_tasks] = True
-    for k in range(size):  # Warshall, one step per node
-        reach |= reach[:, k, None] & reach[k]
-    return edge & ~reach[:num_tasks, node].T
-
-
-def canonical_assignment(
-    mat: np.ndarray, base_map: np.ndarray, opt_cost: float, tol: float = COST_TOL
-) -> np.ndarray:
+def canonical_assignment(mat: np.ndarray, base_map: np.ndarray, opt_cost: float) -> np.ndarray:
     """Lexicographically smallest optimal matching in (task, agent) order.
 
-    `base_map` must be an optimal task->agent map achieving `opt_cost`; it is
+    A matching counts as optimal within COST_TOL of `opt_cost`. `base_map`
+    must be an optimal task->agent map achieving `opt_cost`; it is
     rewritten as tasks are pinned so that most tasks adopt its agent without
     an extra solve.
     """
@@ -254,7 +230,7 @@ def canonical_assignment(
             res = solve_dense(mat[np.ix_(rem_rows, rem_cols)])
             if res is None:
                 continue
-            if fixed_cost + float(mat[a, t]) + res[0] <= opt_cost + tol:
+            if fixed_cost + float(mat[a, t]) + res[0] <= opt_cost + COST_TOL:
                 chosen[t] = a
                 base[t] = a
                 base[rem_cols] = rem_rows[res[1]]

@@ -22,6 +22,27 @@ RELATIVE_STOP_TOL = 1e-6
 ABSOLUTE_STOP_FLOOR = 1e-9
 
 
+def _set_edge_map(obj, name: str, convert, valid, message: str) -> dict:
+    """Store field `name` of frozen `obj` as a dict keyed by int edge pairs; returns it.
+
+    Each value goes through `convert`; a result `v` that `valid` rejects raises
+    ValueError with `message`, formatted with `edge`, the given `value` and `v`.
+    """
+    cleaned = {}
+    for edge, value in dict(getattr(obj, name)).items():
+        v = convert(value)
+        if not valid(v):
+            raise ValueError(message.format(edge=edge, value=value, v=v))
+        cleaned[(int(edge[0]), int(edge[1]))] = v
+    object.__setattr__(obj, name, cleaned)
+    return cleaned
+
+
+def _interval(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
 @dataclass(frozen=True)
 class SensitivityMatrix:
     """Per-edge cost increase of flipping that edge's membership.
@@ -33,13 +54,9 @@ class SensitivityMatrix:
     values: Mapping[Edge, float]
 
     def __post_init__(self):
-        cleaned = {}
-        for edge, value in dict(self.values).items():
-            v = float(value)
-            if math.isnan(v):
-                raise ValueError(f"sensitivity for edge {edge} is NaN")
-            cleaned[(int(edge[0]), int(edge[1]))] = v
-        object.__setattr__(self, "values", cleaned)
+        _set_edge_map(
+            self, "values", float, lambda v: not math.isnan(v), "sensitivity for edge {edge} is NaN"
+        )
 
     def finite_scale(self) -> float:
         """Largest finite absolute sensitivity, or 0 when there is none."""
@@ -59,13 +76,10 @@ class Perturbation:
     saturated: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        cleaned = {}
-        for edge, value in dict(self.deltas).items():
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValueError(f"delta for edge {edge} must be finite, got {value}")
-            cleaned[(int(edge[0]), int(edge[1]))] = v
-        object.__setattr__(self, "deltas", cleaned)
+        cleaned = _set_edge_map(
+            self, "deltas", float, math.isfinite,
+            "delta for edge {edge} must be finite, got {value}",
+        )
         sat = frozenset((int(a), int(b)) for a, b in self.saturated)
         if not sat <= set(cleaned):
             raise ValueError("saturated edges must belong to the perturbation")
@@ -87,13 +101,11 @@ class IntervalTable:
     intervals: Mapping[Edge, tuple[float, float]]
 
     def __post_init__(self):
-        cleaned = {}
-        for edge, (lo, hi) in dict(self.intervals).items():
-            lo, hi = float(lo), float(hi)
-            if math.isnan(lo) or math.isnan(hi) or lo > hi:
-                raise ValueError(f"bad interval for edge {edge}: [{lo}, {hi}]")
-            cleaned[(int(edge[0]), int(edge[1]))] = (lo, hi)
-        object.__setattr__(self, "intervals", cleaned)
+        # lo <= hi fails on NaN too.
+        _set_edge_map(
+            self, "intervals", _interval, lambda v: v[0] <= v[1],
+            "bad interval for edge {edge}: [{v[0]}, {v[1]}]",
+        )
 
 
 @dataclass(frozen=True)
@@ -129,13 +141,10 @@ class ErrorBounds:
     bounds: Mapping[Edge, float]
 
     def __post_init__(self):
-        cleaned = {}
-        for edge, value in dict(self.bounds).items():
-            v = float(value)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"bound for edge {edge} must be finite and >= 0")
-            cleaned[(int(edge[0]), int(edge[1]))] = v
-        object.__setattr__(self, "bounds", cleaned)
+        _set_edge_map(
+            self, "bounds", float, lambda v: math.isfinite(v) and v >= 0,
+            "bound for edge {edge} must be finite and >= 0",
+        )
 
     @classmethod
     def uniform(cls, edges, value: float) -> "ErrorBounds":
@@ -283,6 +292,23 @@ def _stop_tol(scale: float) -> float:
     return max(RELATIVE_STOP_TOL * scale, ABSOLUTE_STOP_FLOOR)
 
 
+def _search_start(
+    mat: np.ndarray, pi: np.ndarray
+) -> tuple[_solver.ExchangeKernel, np.ndarray, float]:
+    """The critical search's start from optimum `pi` of `mat`, on arrays.
+
+    Returns the exchange kernel of `pi` on `mat`'s edge set, the dense
+    sensitivities of `mat` and the default stop tolerance. Raises ValueError
+    when `pi` is not an optimum of `mat` and DegenerateOptimumError when it is
+    tied.
+    """
+    kernel = _solver.ExchangeKernel(np.isfinite(mat), pi)
+    sens = kernel(mat)
+    _check_optimum(mat, pi, sens, allow_degenerate=False)
+    scale = float(np.abs(sens[np.isfinite(sens)]).max(initial=0.0))
+    return kernel, sens, _stop_tol(scale)
+
+
 def _search(
     kernel: _solver.ExchangeKernel,
     mat: np.ndarray,
@@ -371,8 +397,8 @@ def critical_search(
     (`_certify_critical`) uses this to stop at the first iterate that
     certifies; this function always runs to the end.
 
-    One `_solver.ExchangeKernel` serves every pass. The reference optimum must
-    be unique (DegenerateOptimumError otherwise).
+    One `_solver.ExchangeKernel` serves every pass (`_search_start`). The
+    reference optimum must be unique (DegenerateOptimumError otherwise).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -381,16 +407,14 @@ def critical_search(
     if not saturation_cap > 0:
         raise ValueError("saturation_cap must be positive")
     mat = instance._dense
-    pi = _pi_array(instance, optimum)
-    kernel = _solver.ExchangeKernel(np.isfinite(mat), pi)
-    sens = kernel(mat)
-    sens0 = _sensitivity_matrix(instance, pi, sens, allow_degenerate=False)
-    tol = stop_tol if stop_tol is not None else default_stop_tol(sens0)
+    kernel, sens, default_tol = _search_start(mat, _pi_array(instance, optimum))
+    tol = default_tol if stop_tol is None else stop_tol
+    edges = instance.sorted_edges()
+    sens0 = SensitivityMatrix({e: float(sens[e]) for e in edges})
     trace = [] if keep_trace else None
     delta, iterations, residual, _ = _search(
         kernel, mat, sens, tol, max_iters, saturation_cap, trace=trace
     )
-    edges = instance.sorted_edges()
     saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
 
     def perturbation(deltas: np.ndarray) -> Perturbation:
@@ -468,35 +492,30 @@ def _clearance(delta: np.ndarray, sign: np.ndarray, floor: np.ndarray) -> np.nda
     return delta * sign - floor
 
 
-def _certify_critical(
-    kernel: _solver.ExchangeKernel, mat: np.ndarray, pi: np.ndarray, bound
-) -> bool:
+def _certify_critical(mat: np.ndarray, pi: np.ndarray, bound) -> bool:
     """`certify_optimal` on the critical perturbation of optimum `pi`, on arrays.
 
-    The certified simulation's lock test. `kernel` is the exchange kernel of
-    `pi` on `mat`'s edge set and `bound` the error bound, a scalar or a dense
-    array. The search is `critical_search`'s with its defaults, but it stops
-    at the first iterate that clears every bound by more than the stop
-    tolerance, since the converged perturbation clears them too (see
-    `critical_search`). A search that never gets there runs to its end and
-    the test decides on its last iterate, which is allowable whether or not
-    it converged. A tied optimum gets the zero perturbation, which certifies
-    only zero bounds. Raises ValueError when `pi` is not an optimum of `mat`.
+    The certified simulation's lock test. `bound` is the error bound, a
+    scalar or a dense array. The search is `critical_search`'s with its
+    defaults, from the same `_search_start`, but it stops at the first
+    iterate that clears every bound by more than the stop tolerance, since
+    the converged perturbation clears them too (see `critical_search`). A
+    search that never gets there runs to its end and the test decides on its
+    last iterate, which is allowable whether or not it converged. A tied
+    optimum gets the zero perturbation, which certifies only zero bounds.
+    Raises ValueError when `pi` is not an optimum of `mat`.
     """
     edge = np.isfinite(mat)
     sign = np.where(edge, -1.0, 0.0)
     sign[pi, np.arange(len(pi))] = 1.0
     floor = np.where(edge, bound, -np.inf)
-    sens = kernel(mat)
     try:
-        _check_optimum(mat, pi, sens, allow_degenerate=False)
+        kernel, sens, tol = _search_start(mat, pi)
     except DegenerateOptimumError:
         delta = np.zeros(mat.shape)
     else:
-        scale = float(np.abs(sens[np.isfinite(sens)]).max(initial=0.0))
         delta, _, _, locked = _search(
-            kernel, mat, sens, _stop_tol(scale), DEFAULT_MAX_ITERS, DEFAULT_SATURATION_CAP,
-            lock=(sign, floor),
+            kernel, mat, sens, tol, DEFAULT_MAX_ITERS, DEFAULT_SATURATION_CAP, lock=(sign, floor)
         )
         if locked:
             return True
@@ -508,8 +527,8 @@ def _certify_exact(
 ) -> bool:
     """`certify_exact` on arrays.
 
-    `bound` is a scalar or a dense array and `fixed` the mask that
-    `_solver.fixed_edges` gives for `pi`.
+    `bound` is a scalar or a dense array and `fixed` the mask of the edges
+    whose sensitivity is infinite (see `_solver`).
     """
     shift = np.negative(bound, out=np.empty(mat.shape))
     shift[pi, np.arange(len(pi))] *= -1.0
@@ -544,4 +563,4 @@ def certify_exact(
     bound = np.zeros(mat.shape)
     for edge, value in eps.bounds.items():
         bound[edge] = value
-    return _certify_exact(mat, pi, bound, _solver.fixed_edges(mat, pi), tol)
+    return _certify_exact(mat, pi, bound, np.isinf(_solver.sens_dense(mat, pi)), tol)

@@ -7,6 +7,7 @@ distances, then locks it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -184,10 +185,12 @@ def run_sweep(
     that stack of maps changes, and a tied optimum goes to
     `_solver.canonical_assignment`. Certification stays per seed, on arrays:
     a solving step of any seed has every weight finite, so all of them share
-    the complete edge set and the scalar bound, and the exchange kernel and
-    `_solver.fixed_edges` of a map are built once per sweep. A seed whose
-    measured distance overflows to infinity raises ValueError when the
-    iteration reaches it, after the logs of the seeds before it.
+    the complete edge set and the scalar bound. The edges that `certify_exact`
+    holds fixed depend on that edge set alone (see `_solver`), so their mask
+    is computed once per sweep; the critical search builds the exchange
+    kernel of its own map at each step it runs. A seed whose measured
+    distance overflows to infinity raises ValueError when the iteration
+    reaches it, after the logs of the seeds before it.
     """
     if policy not in ("naive", "certified"):
         raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
@@ -196,7 +199,9 @@ def run_sweep(
     shape = (len(scenario.agent_positions), len(targets))
     edge = np.ones(shape, dtype=bool)
     noise_bound = scenario.noise_bound
-    certifiers: dict[bytes, tuple[_solver.ExchangeKernel, np.ndarray]] = {}
+    if policy == "certified":
+        # Any full matching gives the mask; agent t holding task t is one.
+        fixed = np.isinf(_solver.sens_dense(np.zeros(shape), np.arange(shape[1])))
     live = runs
     kernel = None
     for k in range(scenario.max_steps):
@@ -248,17 +253,10 @@ def run_sweep(
                 assn = run.previous if same else Assignment(pairs)
                 if policy == "certified":
                     pi = maps[i]
-                    key = pi.tobytes()
-                    if key not in certifiers:
-                        certifiers[key] = (
-                            _solver.ExchangeKernel(edge, pi),
-                            _solver.fixed_edges(weights[i], pi),
-                        )
-                    search_kernel, fixed = certifiers[key]
                     # The exact test is necessary for the paper's certificate,
                     # so the critical search runs only where a lock is possible.
                     if _certify_exact(weights[i], pi, noise_bound, fixed) and _certify_critical(
-                        search_kernel, weights[i], pi, noise_bound
+                        weights[i], pi, noise_bound
                     ):
                         run.locked = assn
                         run.certification_step = k
@@ -327,13 +325,7 @@ def summarize(log: SimLog) -> RunMetrics:
     cost of the best assignment on the true initial distances (the shortest
     possible total straight-line travel).
     """
-    scenario = log.scenario
-    dist = exact_distances(scenario.agent_positions, scenario.target_positions)
-    task_to_agent, _ = _solver.solve_canonical(dist)
-    # Summed in task order from 0.0, as `assignment_cost` sums `solve_lap`'s cost.
-    ideal = 0.0
-    for weight in dist[task_to_agent, np.arange(len(task_to_agent))].tolist():
-        ideal += weight
+    ideal = _ideal_cost(log.scenario.agent_positions, log.scenario.target_positions)
     return RunMetrics(
         policy=log.policy,
         steps=len(log.steps),
@@ -343,3 +335,15 @@ def summarize(log: SimLog) -> RunMetrics:
         reached_all=not log.exhausted,
         optimality_gap=log.total_distance - ideal,
     )
+
+
+@functools.lru_cache
+def _ideal_cost(agent_positions, target_positions) -> float:
+    """Cost of the canonical optimum on the exact distances; the seeds of a sweep share it."""
+    dist = exact_distances(agent_positions, target_positions)
+    task_to_agent, _ = _solver.solve_canonical(dist)
+    # Summed in task order from 0.0, as `assignment_cost` sums `solve_lap`'s cost.
+    ideal = 0.0
+    for weight in dist[task_to_agent, np.arange(len(task_to_agent))].tolist():
+        ideal += weight
+    return ideal

@@ -33,7 +33,7 @@ from lapsens import (
     verify_allowable,
 )
 from lapsens import _solver, perturb
-from lapsens._solver import ExchangeKernel, fixed_edges
+from lapsens._solver import ExchangeKernel
 from lapsens.perturb import DEFAULT_MAX_ITERS, DEFAULT_SATURATION_CAP, default_stop_tol
 
 from conftest import (
@@ -364,17 +364,21 @@ class TestCertifyExactProperties:
 
 
 class TestFixedEdgesProperties:
+    """The kernel's infinite sensitivities, which `certify_exact` holds fixed."""
+
     @SETTINGS
     @given(sparse_grids(), st.data())
     def test_marks_edges_every_matching_agrees_on(self, grid, data):
+        # Two matchings per grid: the mask must not depend on which one.
         matchings = oracle_enumerate(grid)
-        _, perm = data.draw(st.sampled_from(matchings))
-        mat = np.array([[np.inf if w is None else w for w in row] for row in grid])
-        got = fixed_edges(mat, np.array(perm))
-        for a, row in enumerate(grid):
-            for b, w in enumerate(row):
-                agree = len({m[b] == a for _, m in matchings}) == 1
-                assert got[a, b] == (w is not None and agree)
+        mat = _dense(grid)
+        for _ in range(2):
+            _, perm = data.draw(st.sampled_from(matchings))
+            got = np.isinf(_solver.sens_dense(mat, np.array(perm)))
+            for a, row in enumerate(grid):
+                for b, w in enumerate(row):
+                    agree = len({m[b] == a for _, m in matchings}) == 1
+                    assert got[a, b] == (w is not None and agree)
 
 
 def _dense(grid) -> np.ndarray:
@@ -571,7 +575,7 @@ def _early_stop_certifies(inst, assn, bound):
         return searches[-1]
 
     with mock.patch.object(perturb, "_search", spy):
-        got = perturb._certify_critical(ExchangeKernel(np.isfinite(mat), pi), mat, pi, bound)
+        got = perturb._certify_critical(mat, pi, bound)
     return got, searches
 
 

@@ -325,6 +325,30 @@ def _rectangular_scenario(seed):
     )
 
 
+def _single_scenario(seed):
+    """One agent, one target: the one edge is in every matching, so it is fixed."""
+    return Scenario(
+        agent_positions=((0.0, 0.0),),
+        target_positions=((3.0, 4.0),),
+        speed=0.5,
+        noise_bound=0.1,
+        seed=seed,
+        max_steps=50,
+    )
+
+
+def _one_target_scenario(seed):
+    """Three agents, one target; the two nearest agents start at the same true distance."""
+    return Scenario(
+        agent_positions=((-0.5, 0.0), (0.5, 0.0), (2.0, 0.0)),
+        target_positions=((0.0, 6.0),),
+        speed=0.5,
+        noise_bound=0.1,
+        seed=seed,
+        max_steps=50,
+    )
+
+
 def _scattered_scenario():
     """Nine agents and seven targets at seeded random points.
 
@@ -350,6 +374,8 @@ class TestAgainstReferenceLoop:
             pytest.param([contested4_scenario(s) for s in range(50)], id="contested4"),
             pytest.param([_tied_scenario()], id="tied"),
             pytest.param([_rectangular_scenario(s) for s in range(20)], id="rectangular"),
+            pytest.param([_single_scenario(s) for s in range(5)], id="single"),
+            pytest.param([_one_target_scenario(s) for s in range(20)], id="one_target"),
         ],
     )
     def test_logs_equal_reference(self, scenarios, policy):
@@ -387,6 +413,8 @@ class TestSweep:
             pytest.param(contested4_scenario(0), id="contested4"),
             pytest.param(_tied_scenario(), id="tied"),
             pytest.param(_rectangular_scenario(0), id="rectangular"),
+            pytest.param(_single_scenario(0), id="single"),
+            pytest.param(_one_target_scenario(0), id="one_target"),
             # Seeds 40..48 lock between steps 2 and 12; five of them arrive
             # at step 20, where the other four run out of steps.
             pytest.param(dataclasses.replace(contested3_scenario(0), max_steps=20), id="capped"),

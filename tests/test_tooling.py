@@ -13,6 +13,7 @@ import importlib
 from pathlib import Path
 
 import lapsens._solver
+import lapsens.sim
 from lapsens import BipartiteInstance, Scenario, run_sweep
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -67,30 +68,39 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
     assert calls == {"solve_dense": sum(lengths), "unique_optima": max(lengths)}
 
 
-def test_certified_step_builds_no_instance_and_one_fixed_edges_per_map(monkeypatch):
-    # An unlocked certified step certifies on arrays: no `BipartiteInstance`,
-    # and `fixed_edges` with a one-map exchange kernel once per map of the
-    # sweep, however many steps and seeds give that map. The batched
-    # uniqueness kernel is still rebuilt only when the stack of maps changes.
-    calls = {"instances": 0, "fixed_edges": 0, "one_map_kernels": 0, "stacked_kernels": 0}
+def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypatch):
+    # An unlocked certified step certifies on arrays: no `BipartiteInstance`.
+    # The fixed edges come from one `sens_dense` mask per sweep, and each
+    # `_certify_critical` call builds one one-map exchange kernel of its own.
+    # The batched uniqueness kernel is still rebuilt only when the stack of
+    # maps changes.
+    calls = {
+        "instances": 0,
+        "sens_dense": 0,
+        "_certify_critical": 0,
+        "one_map_kernels": 0,
+        "stacked_kernels": 0,
+    }
     post_init = BipartiteInstance.__post_init__
-    fixed_edges = lapsens._solver.fixed_edges
     kernel_init = lapsens._solver.ExchangeKernel.__init__
 
     def counted_post_init(self):
         calls["instances"] += 1
         post_init(self)
 
-    def counted_fixed_edges(*args):
-        calls["fixed_edges"] += 1
-        return fixed_edges(*args)
-
     def counted_kernel_init(self, edge, task_to_agent):
         calls["one_map_kernels" if task_to_agent.ndim == 1 else "stacked_kernels"] += 1
         kernel_init(self, edge, task_to_agent)
 
+    for module, name in [(lapsens._solver, "sens_dense"), (lapsens.sim, "_certify_critical")]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(BipartiteInstance, "__post_init__", counted_post_init)
-    monkeypatch.setattr(lapsens._solver, "fixed_edges", counted_fixed_edges)
     monkeypatch.setattr(lapsens._solver.ExchangeKernel, "__init__", counted_kernel_init)
     scenario = Scenario(
         agent_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
@@ -105,12 +115,14 @@ def test_certified_step_builds_no_instance_and_one_fixed_edges_per_map(monkeypat
         [log.steps[k].assignment for log in logs if k <= log.certification_step]
         for k in range(max(log.certification_step for log in logs) + 1)
     ]
-    unlocked = {assn for stack in stacks for assn in stack}
-    assert sum(map(len, stacks)) > 2 * len(unlocked) > 2
     changes = sum(a != b for a, b in zip([None] + stacks, stacks))
+    # Every seed locks, on a search; the exact test spares the other steps some.
+    searches = calls["_certify_critical"]
+    assert len(logs) <= searches < sum(map(len, stacks))
     assert calls == {
         "instances": 0,
-        "fixed_edges": len(unlocked),
-        "one_map_kernels": len(unlocked),
+        "sens_dense": 1,
+        "_certify_critical": searches,
+        "one_map_kernels": searches + 1,
         "stacked_kernels": changes,
     }

@@ -10,24 +10,29 @@ the agent holding task t. Edge t->u means "t's agent takes u's task" and
 weighs `W[holder(t), u] - W[holder(t), t]`. With more agents than tasks, a
 free-pool node Z joins: t->Z means "t's agent drops its task" and weighs
 `-W[holder(t), t]`; Z->u means "the cheapest free agent takes u's task". The
-matching is optimal exactly when no cycle is negative, and each single-edge
-flip is a cheapest cycle, so one all-pairs shortest-path pass yields every
-sensitivity.
+matching is optimal exactly when no cycle is negative, so exactly when no
+assigned edge's sensitivity is, since every cycle passes a task's node. Each
+single-edge flip is a cheapest cycle, so one all-pairs shortest-path pass
+yields every sensitivity.
 
 `ExchangeKernel` prepares that pass once per matching and edge set, or once
 per stack of matchings on one edge set: a leading batch axis runs the pass
 for B weight matrices at once, each with its own matching, with the values
 that B separate kernels give. The critical search calls one kernel on every
-pass and `perturb.is_critical` one for both of its passes; `sens_dense`, the
-one-off form, serves `perturb.elementwise_sensitivities`. `unique_optima`
-turns a kernel's values into uniqueness flags, one per matrix:
-`sim.run_sweep` calls it once per step on the stack of every seed that still
-solves, reusing the kernel while their maps stay the same.
+pass and `perturb.is_critical` one for both of its passes; `sens_dense` is
+the one-off form. `unique_optima` turns a kernel's values into uniqueness
+flags, one per matrix: `sim.run_sweep` calls it once per step on the stack
+of every seed that still solves, reusing the kernel while their maps stay
+the same.
 
 A sensitivity is infinite exactly where every full matching uses the edge,
 or none does. So the mask of infinities depends on the edge set alone, not
 on the weights or on which full matching the kernel holds: `certify_exact`
 takes its fixed edges from it, and `sim.run_sweep` computes it once per sweep.
+
+Costs tie within `tie_tol`, TIE_RTOL * tasks * max|w|: rounding in a sum of
+n weights grows with n * max|w| (Higham, Accuracy and Stability of Numerical
+Algorithms, 4.2). Every tie and optimality decision takes its tolerance here.
 
 `solve_canonical` is the whole solve on one matrix: `solve_dense`, the
 uniqueness test from a one-off kernel (`unique_optimum`), and
@@ -39,8 +44,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-# Absolute tolerance for treating two assignment costs as equal.
-COST_TOL = 1e-9
+TIE_RTOL = 1e-12
+
+
+def finite_max(values: np.ndarray) -> float:
+    """Largest finite absolute value, or 0 when there is none."""
+    return float(np.maximum.reduce(np.abs(values), None, where=np.isfinite(values), initial=0.0))
+
+
+def tie_tol(mat: np.ndarray, scale=None):
+    """Tie tolerance of costs on `mat`; `scale`, one per matrix of a stack, overrides max|w|."""
+    return TIE_RTOL * mat.shape[-1] * (finite_max(mat) if scale is None else scale)
 
 
 def solve_dense(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -172,20 +186,21 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     return ExchangeKernel(np.isfinite(mat), task_to_agent)(mat)
 
 
-def unique_optima(kernel: ExchangeKernel, mat: np.ndarray) -> np.ndarray:
+def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
     """Whether each of the kernel's matchings is the strictly unique optimum of its weights.
 
     True where every single-edge flip moves the matching's cost by more than
-    COST_TOL; the matching must be optimal for the answer to mean that. `mat`
-    has the kernel's shape, one matrix or a stack, and gives one flag per
-    matrix.
+    `tol`, the matrix's `tie_tol`; the matching must be optimal for the
+    answer to mean that. `mat` has the kernel's shape, one matrix or a stack,
+    and gives one flag per matrix; a stack takes one tolerance per matrix.
     """
-    return ~(np.abs(kernel(mat)) <= COST_TOL).any(axis=(-2, -1))
+    return ~(np.abs(kernel(mat)) <= np.asarray(tol)[..., None, None]).any(axis=(-2, -1))
 
 
 def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:
     """`unique_optima` of a one-off kernel for one matrix."""
-    return bool(unique_optima(ExchangeKernel(np.isfinite(mat), task_to_agent), mat))
+    kernel = ExchangeKernel(np.isfinite(mat), task_to_agent)
+    return bool(unique_optima(kernel, mat, tie_tol(mat)))
 
 
 def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:
@@ -207,12 +222,13 @@ def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:
 def canonical_assignment(mat: np.ndarray, base_map: np.ndarray, opt_cost: float) -> np.ndarray:
     """Lexicographically smallest optimal matching in (task, agent) order.
 
-    A matching counts as optimal within COST_TOL of `opt_cost`. `base_map`
+    A matching counts as optimal within `tie_tol(mat)` of `opt_cost`. `base_map`
     must be an optimal task->agent map achieving `opt_cost`; it is
     rewritten as tasks are pinned so that most tasks adopt its agent without
     an extra solve.
     """
     num_agents, num_tasks = mat.shape
+    tol = tie_tol(mat)
     chosen = np.full(num_tasks, -1, dtype=np.intp)
     used = np.zeros(num_agents, dtype=bool)
     base = np.asarray(base_map, dtype=np.intp).copy()
@@ -230,7 +246,7 @@ def canonical_assignment(mat: np.ndarray, base_map: np.ndarray, opt_cost: float)
             res = solve_dense(mat[np.ix_(rem_rows, rem_cols)])
             if res is None:
                 continue
-            if fixed_cost + float(mat[a, t]) + res[0] <= opt_cost + COST_TOL:
+            if fixed_cost + float(mat[a, t]) + res[0] <= opt_cost + tol:
                 chosen[t] = a
                 base[t] = a
                 base[rem_cols] = rem_rows[res[1]]

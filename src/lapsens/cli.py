@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
-from .core import COST_TOL, BipartiteInstance, solve_lap
+from .core import BipartiteInstance, solve_lap
 from .errors import (
     DegenerateOptimumError,
     InfeasibleError,
@@ -171,8 +171,7 @@ def _cmd_verify(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
     pert = _resolve_perturbation(args, instance, assignment)
-    tol = COST_TOL if args.tol is None else args.tol
-    ok = verify_allowable(instance, assignment, pert, tol=tol)
+    ok = verify_allowable(instance, assignment, pert, tol=args.tol)
     if args.format == "json":
         _print_json({"allowable": ok})
     else:
@@ -246,7 +245,7 @@ def _add_common(sub, *, tol=False, max_iters=False, perturbation=False):
         "--format", choices=("table", "json"), default="table", help="output format"
     )
     if tol:
-        sub.add_argument("--tol", type=float, default=None, help="tolerance override")
+        sub.add_argument("--tol", type=float, default=None, help="tolerance (default: derived)")
     if max_iters:
         sub.add_argument(
             "--max-iters", type=int, default=DEFAULT_MAX_ITERS, dest="max_iters",

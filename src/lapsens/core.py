@@ -13,8 +13,6 @@ from .errors import CapExceededError, InfeasibleError, UnknownEdgeError
 
 Edge = tuple[int, int]  # (agent index, task index)
 
-COST_TOL = _solver.COST_TOL
-
 
 @dataclass(frozen=True)
 class BipartiteInstance:
@@ -171,9 +169,9 @@ def _pi_array(instance: BipartiteInstance, assn: Assignment) -> np.ndarray:
 def solve_lap(instance: BipartiteInstance) -> SolveReport:
     """Minimum-cost assignment covering every task.
 
-    Ties are broken toward the lexicographically smallest pair sequence in
-    (task, agent) order, so the result is deterministic. Raises
-    InfeasibleError when some task cannot be covered.
+    Costs within `_solver.tie_tol` tie; ties go to the lexicographically
+    smallest pair sequence in (task, agent) order, so the result is
+    deterministic. Raises InfeasibleError when some task cannot be covered.
     """
     res = _solver.solve_canonical(instance._dense)
     if res is None:
@@ -235,14 +233,14 @@ def uniqueness_check(instance: BipartiteInstance, assn: Assignment) -> bool:
     """True when `assn` is the strictly unique optimum.
 
     Checks that flipping any single edge's membership strictly increases the
-    cost, i.e. that no finite sensitivity is within COST_TOL of zero. `assn`
-    must already be optimal for the answer to be meaningful.
+    cost, i.e. that no finite sensitivity is within `_solver.tie_tol` of
+    zero. `assn` must already be optimal for the answer to be meaningful.
     """
     return _solver.unique_optimum(instance._dense, _pi_array(instance, assn))
 
 
 def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceResult:
-    """Exhaustively enumerate every full matching and return all minimizers.
+    """Exhaustively enumerate every full matching and return all minimizers (within `tie_tol`).
 
     Intended as an oracle for validating the fast paths. Raises
     CapExceededError when the instance has more than `cap` tasks and
@@ -253,6 +251,7 @@ def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceRe
             f"{instance.num_tasks} tasks exceeds the enumeration cap of {cap}"
         )
     num_tasks = instance.num_tasks
+    tol = _solver.tie_tol(instance._dense)
     adjacency = [
         sorted(a for (a, t) in instance.weights if t == task) for task in range(num_tasks)
     ]
@@ -264,9 +263,9 @@ def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceRe
     def recurse(task: int, acc: float) -> None:
         nonlocal best
         if task == num_tasks:
-            if acc < best - COST_TOL:
+            if acc < best - tol:
                 best = acc
-            if acc <= best + COST_TOL:
+            if acc <= best + tol:
                 candidates.append((acc, tuple(picks)))
             return
         for agent in adjacency[task]:
@@ -284,6 +283,6 @@ def brute_force_solve(instance: BipartiteInstance, cap: int = 8) -> BruteForceRe
     optima = tuple(
         Assignment(tuple(enumerate(agents)))
         for cost, agents in candidates
-        if cost <= best + COST_TOL
+        if cost <= best + tol
     )
     return BruteForceResult(optima, best)

@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _solver
-from .core import COST_TOL, Assignment, BipartiteInstance, Edge, _pi_array
+from .core import Assignment, BipartiteInstance, Edge, _pi_array
 from .errors import DegenerateOptimumError, ShapeMismatchError
 
 DEFAULT_SATURATION_CAP = 1e9
@@ -60,8 +60,7 @@ class SensitivityMatrix:
 
     def finite_scale(self) -> float:
         """Largest finite absolute sensitivity, or 0 when there is none."""
-        finite = [abs(v) for v in self.values.values() if math.isfinite(v)]
-        return max(finite, default=0.0)
+        return _solver.finite_max(np.fromiter(self.values.values(), float))
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
     res = _solver.solve_dense(mat)
     if res is None:
         raise ValueError("the reference assignment is not a matching of the instance")
-    return base <= res[0] + tol
+    return bool(base <= res[0] + tol)
 
 
 def _check_optimum(
@@ -177,25 +176,18 @@ def _check_optimum(
 
     Unless `allow_degenerate` is set, also raise DegenerateOptimumError,
     naming the first edge in row-major order, when some flip moves the cost
-    by COST_TOL or less.
+    by `_solver.tie_tol` or less.
     """
-    if not _stays_optimal(mat, pi, COST_TOL):
+    tol = _solver.tie_tol(mat)
+    if (sens[pi, np.arange(len(pi))] < -tol).any():
         raise ValueError("the reference assignment is not an optimum of the instance")
     if not allow_degenerate:
-        tied = np.argwhere(np.abs(sens) <= COST_TOL)
+        tied = np.argwhere(np.abs(sens) <= tol)
         if len(tied):
             edge = (int(tied[0, 0]), int(tied[0, 1]))
             raise DegenerateOptimumError(
                 f"optimum is not unique: flipping edge {edge} does not change the cost"
             )
-
-
-def _sensitivity_matrix(
-    instance: BipartiteInstance, pi: np.ndarray, dense: np.ndarray, allow_degenerate: bool
-) -> SensitivityMatrix:
-    """Checked per-edge values of `dense`, the sensitivities of optimum `pi`."""
-    _check_optimum(instance._dense, pi, dense, allow_degenerate)
-    return SensitivityMatrix({(a, b): float(dense[a, b]) for a, b in instance.sorted_edges()})
 
 
 def elementwise_sensitivities(
@@ -214,11 +206,12 @@ def elementwise_sensitivities(
     `allow_degenerate` is set.
 
     Every value comes from one shortest-path pass over the optimum's exchange
-    graph (see `_solver`); no edge needs a solve of its own.
+    graph (see `_solver`); neither an edge nor the optimality check solves.
     """
     pi = _pi_array(instance, optimum)
     dense = _solver.sens_dense(instance._dense, pi)
-    return _sensitivity_matrix(instance, pi, dense, allow_degenerate)
+    _check_optimum(instance._dense, pi, dense, allow_degenerate)
+    return SensitivityMatrix({(a, b): float(dense[a, b]) for a, b in instance.sorted_edges()})
 
 
 def divided_bound(
@@ -272,14 +265,15 @@ def verify_allowable(
     optimum: Assignment,
     pert: Perturbation,
     *,
-    tol: float = COST_TOL,
+    tol: float | None = None,
 ) -> bool:
     """Whether the optimum stays optimal after applying the perturbation.
 
     Checks membership in the perturbed instance's optimum set (cost within
-    `tol` of the perturbed optimal cost), not uniqueness.
+    `tol`, by default `_solver.tie_tol`, of the perturbed optimal cost), not uniqueness.
     """
     mat = _perturbed_dense(instance, pert)
+    tol = _solver.tie_tol(mat) if tol is None else tol
     return _stays_optimal(mat, _pi_array(instance, optimum), tol)
 
 
@@ -305,8 +299,7 @@ def _search_start(
     kernel = _solver.ExchangeKernel(np.isfinite(mat), pi)
     sens = kernel(mat)
     _check_optimum(mat, pi, sens, allow_degenerate=False)
-    scale = float(np.abs(sens[np.isfinite(sens)]).max(initial=0.0))
-    return kernel, sens, _stop_tol(scale)
+    return kernel, sens, _stop_tol(_solver.finite_max(sens))
 
 
 def _search(
@@ -446,9 +439,7 @@ def is_critical(
     pi = _pi_array(instance, optimum)
     kernel = _solver.ExchangeKernel(np.isfinite(instance._dense), pi)
     if tol is None:
-        tol = default_stop_tol(
-            _sensitivity_matrix(instance, pi, kernel(instance._dense), allow_degenerate=True)
-        )
+        tol = _stop_tol(_solver.finite_max(kernel(instance._dense)))
     sens = kernel(_perturbed_dense(instance, pert))
     finite = np.isfinite(sens)
     if instance.edges and not finite.any():
@@ -522,39 +513,32 @@ def _certify_critical(mat: np.ndarray, pi: np.ndarray, bound) -> bool:
     return bool((_clearance(delta, sign, floor) >= 0).all())
 
 
-def _certify_exact(
-    mat: np.ndarray, pi: np.ndarray, bound, fixed: np.ndarray, tol: float = COST_TOL
-) -> bool:
+def _certify_exact(mat: np.ndarray, pi: np.ndarray, bound, fixed: np.ndarray, scale) -> bool:
     """`certify_exact` on arrays.
 
-    `bound` is a scalar or a dense array and `fixed` the mask of the edges
-    whose sensitivity is infinite (see `_solver`).
+    `bound` is a scalar or a dense array, `fixed` the mask of the edges whose
+    sensitivity is infinite (see `_solver`) and `scale` that of the tie rule.
     """
     shift = np.negative(bound, out=np.empty(mat.shape))
     shift[pi, np.arange(len(pi))] *= -1.0
     shift[fixed] = 0.0
-    return _stays_optimal(mat + shift, pi, tol)
+    return _stays_optimal(mat + shift, pi, _solver.tie_tol(mat, scale))
 
 
-def certify_exact(
-    instance: BipartiteInstance,
-    optimum: Assignment,
-    eps: ErrorBounds,
-    *,
-    tol: float = COST_TOL,
-) -> bool:
+def certify_exact(instance: BipartiteInstance, optimum: Assignment, eps: ErrorBounds) -> bool:
     """Whether the optimum stays optimal for every weight within the error bounds.
 
     Decides exactly, with one solve on the optimum's worst case: its own edges
     raised by eps and every other edge lowered by eps (the "necessarily
     optimal" test for interval data). True when the optimum's worst-case cost
-    is within `tol` of that instance's optimal cost. Edges that every full
+    ties with that instance's optimal cost: `_solver.tie_tol`, on the largest
+    |weight| plus the largest bound off the fixed edges. Edges that every full
     matching uses, or that none does, keep their weight: an error on them
     moves every matching's cost alike, and kept out of the sums, a large
     bound on them (such as a saturated budget) cannot swamp the comparison.
     `certify_optimal` with any allowable perturbation accepts only where this
     test accepts, as long as the rounding in sums of the weights and the
-    remaining bounds stays below `tol`, which is absolute.
+    remaining bounds stays below that tolerance.
     """
     if set(eps.bounds) != instance.edges:
         raise ShapeMismatchError("error bounds are not defined on exactly the edge set")
@@ -563,4 +547,6 @@ def certify_exact(
     bound = np.zeros(mat.shape)
     for edge, value in eps.bounds.items():
         bound[edge] = value
-    return _certify_exact(mat, pi, bound, np.isinf(_solver.sens_dense(mat, pi)), tol)
+    fixed = np.isinf(_solver.sens_dense(mat, pi))
+    scale = _solver.finite_max(mat) + bound.max(where=~fixed, initial=0.0)
+    return _certify_exact(mat, pi, bound, fixed, scale)

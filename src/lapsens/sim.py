@@ -216,7 +216,8 @@ def run_sweep(
                 for run in live
             ]
         )
-        finite = np.isfinite(weights).all(axis=(1, 2))
+        scale = np.abs(weights).max(axis=(1, 2))
+        finite = np.isfinite(scale)
         solving = []
         for i, run in enumerate(live):
             if run.locked is not None:
@@ -235,7 +236,8 @@ def run_sweep(
             base = np.array([task_to_agent for _, task_to_agent in solved])
             if kernel is None or not np.array_equal(kernel.pi, base):
                 kernel = _solver.ExchangeKernel(edge, base)
-            unique = _solver.unique_optima(kernel, weights[solving])
+            tol = _solver.tie_tol(weights, scale[solving])
+            unique = _solver.unique_optima(kernel, weights[solving], tol)
             for j, i in enumerate(solving):
                 cost, task_to_agent = solved[j]
                 if not unique[j]:
@@ -252,12 +254,11 @@ def run_sweep(
                 same = run.previous is not None and run.previous.pairs == pairs
                 assn = run.previous if same else Assignment(pairs)
                 if policy == "certified":
-                    pi = maps[i]
+                    pi, mat = maps[i], weights[i]
                     # The exact test is necessary for the paper's certificate,
                     # so the critical search runs only where a lock is possible.
-                    if _certify_exact(weights[i], pi, noise_bound, fixed) and _certify_critical(
-                        weights[i], pi, noise_bound
-                    ):
+                    exact = _certify_exact(mat, pi, noise_bound, fixed, scale[i] + noise_bound)
+                    if exact and _certify_critical(mat, pi, noise_bound):
                         run.locked = assn
                         run.certification_step = k
             reassigned = run.previous is not None and assn != run.previous

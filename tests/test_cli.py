@@ -394,6 +394,41 @@ class TestExitCodes:
             assert f"task {t} -> agent {a}" in table
 
 
+# Weights near 1e8 with a unique optimum whose nearest rival costs 1.39e7
+# more. Rounding in sums of such weights is far above an absolute 1e-9, so
+# ties and optimality must be decided on the weights' own scale.
+LARGE_GRID_TEXT = (
+    "27739919.174747564,16797900.134764176,71155036.25286601,46691910.79359699\n"
+    "95973901.89787047,50005800.91015241,79312346.71202621,69326906.10738766\n"
+    "36208440.094774574,36762304.262607805,2395971.0409734324,60870313.82525389\n"
+    "41678836.3200741,15375043.508243114,6405368.195189009,94283086.48294008\n"
+)
+
+
+class TestLargeWeights:
+    @pytest.fixture()
+    def large_file(self, tmp_path):
+        path = tmp_path / "large.csv"
+        path.write_text(LARGE_GRID_TEXT)
+        return str(path)
+
+    def test_solve_reports_a_unique_optimum(self, capsys, large_file):
+        code, out, _ = run_cli(capsys, "solve", "--input", large_file)
+        assert code == 0
+        assert out.splitlines()[-1] == "unique true"
+
+    @pytest.mark.parametrize("command", ["critical", "sensitivity", "bound"])
+    def test_analysis_accepts_the_optimum(self, capsys, large_file, command):
+        code, _, err = run_cli(capsys, command, "--input", large_file)
+        assert (code, err) == (0, "")
+
+    def test_exact_certificate_accepts_a_small_bound(self, capsys, large_file):
+        code, out, _ = run_cli(
+            capsys, "certify", "--input", large_file, "--eps", "1000", "--exact"
+        )
+        assert (code, out) == (0, "certified true\n")
+
+
 class TestOneParserPerProcess:
     def test_repeated_calls_print_what_fresh_processes_print(
         self, capsys, monkeypatch, demo_file, scenario_file

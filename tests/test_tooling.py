@@ -7,6 +7,10 @@ list is read from the file's source, so nothing of the benchmark is run. The
 tracer also relies on the program calling the solver through those module
 attributes, which the naive sweep's test checks. The certified sweep's test
 pins that certification stays on arrays.
+
+The tie rule has one home: `_solver.TIE_RTOL` and `_solver.tie_tol`. Two
+checks on the source of `src/` keep a second, absolute tolerance from coming
+back.
 """
 import ast
 import importlib
@@ -16,7 +20,16 @@ import lapsens._solver
 import lapsens.sim
 from lapsens import BipartiteInstance, Scenario, run_sweep
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+SOURCES = sorted((ROOT / "src" / "lapsens").glob("*.py"))
+# The only small float literals `src/` may hold: the tie rule's relative
+# tolerance and the critical search's stop rule.
+SMALL_CONSTANTS = {
+    ("_solver", "TIE_RTOL"),
+    ("perturb", "RELATIVE_STOP_TOL"),
+    ("perturb", "ABSOLUTE_STOP_FLOOR"),
+}
 
 
 def _traced_targets() -> list[tuple[str, str, str]]:
@@ -126,3 +139,47 @@ def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypa
         "one_map_kernels": searches + 1,
         "stacked_kernels": changes,
     }
+
+
+def _names(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_no_absolute_cost_tolerance_name_is_left():
+    found = sorted({
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "COST_TOL" in _names(node)
+    })
+    assert not found, f"COST_TOL is still named in {found}"
+
+
+def test_small_float_literals_are_only_the_named_tolerances():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and (path.stem, target.id) in SMALL_CONSTANTS
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-6
+            and id(node) not in allowed
+        ]
+    assert not found, f"tolerances outside the tie rule and the stop rule: {found}"

@@ -216,6 +216,7 @@ def run_sweep(
                 for run in live
             ]
         )
+        # Each seed's max|w|: the scale of its tie tolerance, and inf if any weight is.
         scale = np.abs(weights).max(axis=(1, 2))
         finite = np.isfinite(scale)
         solving = []

@@ -37,7 +37,9 @@ import numpy as np
 import scipy
 
 import lapsens.cli
-from lapsens import BipartiteInstance, Scenario, analyze, parse_scenario, report_to_json, run_simulation
+from lapsens import (
+    BipartiteInstance, Scenario, analyze, parse_scenario, report_to_json, run_simulation,
+)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -112,7 +114,8 @@ def cli_cases(workdir: Path) -> list[tuple[str, list[str]]]:
             for fmt in ("table", "json"):
                 argv = ["simulate", "--input", str(SCENARIOS / name), "--seeds", "0..3",
                         "--policy", policy, "--format", fmt]
-                cases.append((f"simulate {name} --seeds 0..3 --policy {policy} --format {fmt}", argv))
+                label = f"simulate {name} --seeds 0..3 --policy {policy} --format {fmt}"
+                cases.append((label, argv))
     return cases
 
 

@@ -315,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("naive", "certified"), default="certified",
         help="re-assignment policy",
     )
-    sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sub.add_argument(
+    seeds = sub.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    seeds.add_argument(
         "--seeds", default=None,
         help="inclusive seed range A..B; runs one simulation per seed",
     )

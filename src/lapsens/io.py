@@ -183,19 +183,29 @@ def parse_scenario(text: str) -> Scenario:
     missing = [k for k in _SCENARIO_REQUIRED if k not in data]
     if missing:
         raise ParseError(f"missing scenario keys: {missing}", 1, 1)
+    # type(), not isinstance: JSON's true and false decode to bools, which are ints.
     for key in ("agent_positions", "target_positions"):
         points = data[key]
         if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in points
+            isinstance(p, list) and len(p) == 2 and {type(c) for c in p} <= {int, float}
+            for p in points
         ):
-            raise ParseError(f"{key} must be a list of [x, y] pairs", 1, 1)
+            raise ParseError(f"{key} must be a list of [x, y] number pairs", 1, 1)
+    for key in ("speed", "noise_bound"):
+        if type(data[key]) not in (int, float):
+            raise ParseError(f"{key} must be a number", 1, 1)
+    values = {**_SCENARIO_OPTIONAL, **data}
+    for key in _SCENARIO_OPTIONAL:
+        if type(values[key]) is not int:
+            raise ParseError(f"{key} must be an integer", 1, 1)
+    # Accepted values go in unconverted: the repr of a Scenario shows them.
     return Scenario(
         agent_positions=tuple((p[0], p[1]) for p in data["agent_positions"]),
         target_positions=tuple((p[0], p[1]) for p in data["target_positions"]),
         speed=data["speed"],
         noise_bound=data["noise_bound"],
-        seed=int(data.get("seed", _SCENARIO_OPTIONAL["seed"])),
-        max_steps=int(data.get("max_steps", _SCENARIO_OPTIONAL["max_steps"])),
+        seed=values["seed"],
+        max_steps=values["max_steps"],
     )
 
 

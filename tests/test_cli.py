@@ -350,6 +350,25 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [('"speed":0.25', '"speed":"fast"'), ('"noise_bound":0.08', '"noise_bound":null')],
+    )
+    def test_wrong_value_types_are_parse_errors(self, capsys, tmp_path, field, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(SCENARIO_TEXT.replace(field, value))
+        code, out, err = run_cli(capsys, "simulate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "must be a number" in err
+        assert "Traceback" not in err
+
+    def test_seed_and_seeds_together_are_a_usage_error(self, capsys, scenario_file):
+        code, out, err = run_cli(
+            capsys, "simulate", "--input", scenario_file, "--seed", "5", "--seeds", "1..1"
+        )
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
     def test_bad_seed_range(self, capsys, scenario_file):
         code, _, err = run_cli(
             capsys, "simulate", "--input", scenario_file, "--seeds", "9..3"

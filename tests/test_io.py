@@ -114,15 +114,18 @@ class TestParsePerturbation:
         assert bounds.bounds[(1, 1)] == 0.5
 
 
+MINIMAL_SCENARIO = (
+    '{"agent_positions":[[0,0]],"target_positions":[[1,1]],"speed":1,"noise_bound":0}'
+)
+
+
 class TestParseScenario:
     def test_full_round_trip(self):
         sc = Scenario(((0.0, 0.0), (1.0, 0.0)), ((1.0, 10.0), (0.0, 10.0)), 0.25, 0.08, 3, 200)
         assert parse_scenario(format_scenario(sc)) == sc
 
     def test_defaults(self):
-        sc = parse_scenario(
-            '{"agent_positions":[[0,0]],"target_positions":[[1,1]],"speed":1,"noise_bound":0}'
-        )
+        sc = parse_scenario(MINIMAL_SCENARIO)
         assert sc.seed == 0 and sc.max_steps == 500
 
     def test_bad_json_reports_position(self):
@@ -147,6 +150,34 @@ class TestParseScenario:
                 '{"agent_positions":[[0,0,0]],"target_positions":[[1,1]],'
                 '"speed":1,"noise_bound":0}'
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("speed", "fast"),
+            ("speed", True),
+            ("noise_bound", None),
+            ("noise_bound", [0.1]),
+            ("seed", 2.5),
+            ("seed", "3"),
+            ("max_steps", False),
+            ("max_steps", 100.0),
+            ("agent_positions", [[0, None]]),
+            ("target_positions", [["1", 1]]),
+        ],
+    )
+    def test_wrong_value_types_rejected(self, key, value):
+        text = json.dumps({**json.loads(MINIMAL_SCENARIO), key: value})
+        with pytest.raises(ParseError):
+            parse_scenario(text)
+
+    def test_accepted_values_stay_unconverted(self):
+        # A Scenario's repr feeds the golden digests: 1 must not become 1.0.
+        sc = parse_scenario(
+            '{"agent_positions":[[0,0]],"target_positions":[[1,1]],"speed":1,'
+            '"noise_bound":0,"seed":7,"max_steps":20}'
+        )
+        assert (repr(sc.speed), repr(sc.noise_bound), sc.seed, sc.max_steps) == ("1", "0", 7, 20)
 
 
 class TestAnalysisReport:

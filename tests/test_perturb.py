@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lapsens import (
+    DEFAULT_SATURATION_CAP,
     Assignment,
     BipartiteInstance,
     DegenerateOptimumError,
@@ -97,8 +98,8 @@ class TestDividedBound:
     def test_saturates_infinite_sensitivity(self):
         inst = BipartiteInstance.from_matrix([[7]])
         sens = elementwise_sensitivities(inst, Assignment.from_task_map({0: 0}))
-        pert = divided_bound(sens, 1, saturation_cap=100.0)
-        assert pert.deltas == {(0, 0): 50.0}
+        pert = divided_bound(sens, 1)
+        assert pert.deltas == {(0, 0): DEFAULT_SATURATION_CAP / 2}
         assert pert.saturated == frozenset({(0, 0)})
 
     def test_requires_positive_task_count(self, demo_sens):
@@ -198,8 +199,6 @@ class TestCriticalSearch:
             critical_search(demo_instance, demo_optimum, max_iters=0)
         with pytest.raises(ValueError):
             critical_search(demo_instance, demo_optimum, stop_tol=0.0)
-        with pytest.raises(ValueError):
-            critical_search(demo_instance, demo_optimum, saturation_cap=0.0)
 
     @pytest.mark.parametrize(
         "grid",
@@ -232,14 +231,16 @@ class TestCriticalSearch:
         assert report.perturbation.saturated == saturated
         assert report.residual <= 1e-6 * sens0.finite_scale()
         for edge in saturated:
-            # one capped step, then frozen
-            expected = math.copysign(1e9, sens0.values[edge]) / (2 * inst.num_tasks)
+            # divided_bound's placeholder, never moved
+            expected = math.copysign(DEFAULT_SATURATION_CAP, sens0.values[edge]) / (
+                2 * inst.num_tasks
+            )
             assert report.perturbation.deltas[edge] == expected
         assert verify_allowable(inst, assn, report.perturbation)
 
     @pytest.mark.parametrize("grid", [[[7]], [[5], [None]]], ids=["1x1", "2x1"])
     def test_no_finite_sensitivity_stops_after_one_pass(self, grid):
-        # Every edge saturates on the first pass and then stays put.
+        # Every edge holds its placeholder, so the one pass moves nothing.
         inst = BipartiteInstance.from_matrix(grid)
         report = critical_search(inst, solve_lap(inst).assignment, keep_trace=True)
         assert report.iterations == 1

@@ -404,6 +404,87 @@ class TestScaleInvariance:
             inst, assn, ErrorBounds(bounds)
         )
 
+    @SETTINGS
+    @given(
+        st.one_of(sparse_grids(), float_grids(max_n=4)), st.sampled_from([-40, 40]), st.data()
+    )
+    def test_critical_search_and_paper_certificate(self, grid, k, data):
+        inst = BipartiteInstance.from_matrix(grid)
+        # Far from subnormals, so that no delta or residual loses bits at 2**-40.
+        assume(all(w == 0 or abs(w) > 1e-200 for w in inst.weights.values()))
+        big = BipartiteInstance(
+            inst.num_agents, inst.num_tasks, {e: math.ldexp(w, k) for e, w in inst.weights.items()}
+        )
+        assn = solve_lap(inst).assignment
+        try:
+            report = critical_search(inst, assn)
+        except DegenerateOptimumError:
+            assume(False)
+        big_report = critical_search(big, assn)
+        assert big_report.iterations == report.iterations
+        assert big_report.residual == math.ldexp(report.residual, k)
+        assert big_report.converged == report.converged
+        pert, big_pert = report.perturbation, big_report.perturbation
+        # Saturated edges keep the placeholder, which does not scale.
+        assert big_pert.saturated == pert.saturated
+        assert big_pert.deltas == {
+            e: d if e in pert.saturated else math.ldexp(d, k) for e, d in pert.deltas.items()
+        }
+        assert is_critical(big, assn, big_pert) == is_critical(inst, assn, pert)
+        # Bounds at, just past and below each delta; 0 on the saturated edges.
+        bounds = {
+            e: 0.0 if e in pert.saturated else data.draw(
+                st.sampled_from([abs(d), math.nextafter(abs(d), math.inf), abs(d) / 2])
+            )
+            for e, d in sorted(pert.deltas.items())
+        }
+        big_bounds = {e: math.ldexp(b, k) for e, b in bounds.items()}
+        assert certify_optimal(big_pert, assn, ErrorBounds(big_bounds)) == certify_optimal(
+            pert, assn, ErrorBounds(bounds)
+        )
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_readme_grid_search_and_certificate(self, k):
+        grid = [[91, 33, 15], [5, 86, 92], [85, 9, 42]]
+        inst = BipartiteInstance.from_matrix(grid)
+        big = BipartiteInstance.from_matrix([[math.ldexp(w, k) for w in row] for row in grid])
+        assn = solve_lap(inst).assignment
+        report, big_report = critical_search(inst, assn), critical_search(big, assn)
+        assert (report.iterations, report.converged) == (61, True)
+        assert (big_report.iterations, big_report.converged) == (61, True)
+        assert big_report.perturbation.deltas == {
+            e: math.ldexp(d, k) for e, d in report.perturbation.deltas.items()
+        }
+        assert is_critical(big, assn, big_report.perturbation)
+        eps = ErrorBounds.uniform(big.edges, math.ldexp(8.5, k))
+        assert certify_optimal(big_report.perturbation, assn, eps)
+
+
+class TestCriticalSearchContraction:
+    """Each pass of the critical search shrinks the residual by a factor of at most 1 - 1/2N."""
+
+    @SETTINGS
+    @given(sparse_grids())
+    @example([[91, 33, 15], [None, 86, 92], [None, 9, 42], [None, 50, None]])
+    @example([[7], [None]])
+    def test_residual_contracts_every_pass(self, grid):
+        inst = BipartiteInstance.from_matrix(grid)
+        try:
+            report = critical_search(inst, solve_lap(inst).assignment, keep_trace=True)
+        except DegenerateOptimumError:
+            assume(False)
+        finite = [abs(s) for s in report.sensitivities.values.values() if math.isfinite(s)]
+        residuals = [step.residual for step in report.trace]
+        if not finite:
+            assert residuals == [math.inf]
+            return
+        rate = 1 - 1 / (2 * inst.num_tasks)
+        # Every residual that starts a pass exceeds the stop tolerance, 1e-6 of
+        # the first, which is at least 1 on integer grids; the kernel's sums
+        # round by about 1e-13 on weights up to 60.
+        for before, after in zip([max(finite)] + residuals, residuals):
+            assert after <= rate * before * (1 + 1e-6)
+
 
 class TestFixedEdgesProperties:
     """The kernel's infinite sensitivities, which `certify_exact` holds fixed."""
@@ -480,18 +561,18 @@ def _reference_critical_search(instance, optimum):
     """`critical_search` written plainly, as its reference.
 
     It rebuilds the exchange graph through `_solver.sens_dense` on every
-    pass, clamps with `np.clip` and allocates fresh arrays throughout; the
-    answers must match the prepared kernel's bit for bit.
+    pass, gives each saturated edge its placeholder once, before the first
+    pass, and allocates fresh arrays throughout; the answers must match the
+    prepared kernel's bit for bit.
     """
     sens0 = elementwise_sensitivities(instance, optimum)
-    tol = default_stop_tol(sens0)
+    tol = default_stop_tol(sens0, instance)
     edges = instance.sorted_edges()
     saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
 
     mat = instance.dense()
     task_map = optimum.task_map()
     pi = np.array([task_map[t] for t in range(instance.num_tasks)], dtype=np.intp)
-    edge_mask = np.isfinite(mat)
     shape = (instance.num_agents, instance.num_tasks)
     sens = np.full(shape, np.nan)
     for edge, v in sens0.values.items():
@@ -499,15 +580,14 @@ def _reference_critical_search(instance, optimum):
     finite = np.isfinite(sens)
     all_saturated = bool(edges) and not finite.any()
     floor = math.inf if all_saturated else 0.0
-    delta = np.zeros(shape)
-    residual = float(np.abs(sens[finite]).max(initial=floor))
     two_n = 2.0 * instance.num_tasks
-    moving = edge_mask
+    delta = np.zeros(shape)
+    for edge in saturated:
+        delta[edge] = math.copysign(DEFAULT_SATURATION_CAP, sens[edge]) / two_n
+    residual = float(np.abs(sens[finite]).max(initial=floor))
     iterations = 0
     while residual > tol and iterations < DEFAULT_MAX_ITERS:
-        step = np.clip(sens, -DEFAULT_SATURATION_CAP, DEFAULT_SATURATION_CAP) / two_n
-        delta = delta + np.where(moving, step, 0.0)
-        moving = finite
+        delta = delta + np.where(finite, sens / two_n, 0.0)
         sens = _solver.sens_dense(mat + delta, pi)
         residual = float(np.abs(sens[finite]).max(initial=floor))
         iterations += 1
@@ -668,7 +748,7 @@ class TestCertifyCriticalEarlyStop:
             report = critical_search(inst, assn)
         except DegenerateOptimumError:
             assume(False)
-        tol = default_stop_tol(report.sensitivities)
+        tol = default_stop_tol(report.sensitivities, inst)
         # Each edge clears its bound by at most 0.9 tol at the converged
         # perturbation, so no earlier iterate clears it by more than tol.
         wobble = st.floats(-0.9, 0.9)

@@ -24,11 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 SOURCES = sorted((ROOT / "src" / "lapsens").glob("*.py"))
 # The only small float literals `src/` may hold: the tie rule's relative
-# tolerance and the critical search's stop rule.
+# tolerance and the critical search's relative stop tolerance.
 SMALL_CONSTANTS = {
     ("_solver", "TIE_RTOL"),
     ("perturb", "RELATIVE_STOP_TOL"),
-    ("perturb", "ABSOLUTE_STOP_FLOOR"),
 }
 
 

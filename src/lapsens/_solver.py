@@ -20,10 +20,11 @@ per stack of matchings on one edge set: a leading batch axis runs the pass
 for B weight matrices at once, each with its own matching, with the values
 that B separate kernels give. The critical search calls one kernel on every
 pass and `perturb.is_critical` one for both of its passes; `sens_dense` is
-the one-off form. `unique_optima` turns a kernel's values into uniqueness
-flags, one per matrix: `sim.run_sweep` calls it once per step on the stack
-of every seed that still solves, reusing the kernel while their maps stay
-the same.
+the one-off form. `unique_optima` turns a kernel's values into flags, one
+per matrix: whether the kernel's matching is the strictly unique optimum,
+for any matching, optimal or not. `sim.run_sweep` uses that to warm-start:
+it tests every solving seed's previous map on the new weights, reusing the
+kernel while those maps stay the same, and solves only the seeds it refuses.
 
 A sensitivity is infinite exactly where every full matching uses the edge,
 or none does. So the mask of infinities depends on the edge set alone, not
@@ -37,7 +38,8 @@ Algorithms, 4.2). Every tie and optimality decision takes its tolerance here.
 `solve_canonical` is the whole solve on one matrix: `solve_dense`, the
 uniqueness test from a one-off kernel (`unique_optimum`), and
 `canonical_assignment` only when the optimum is tied. `core.solve_lap` wraps
-it for instances; `sim.run_sweep` runs the same three steps on its stack.
+it for instances; `sim.run_sweep` runs the same three steps on the stack of
+seeds whose previous map it did not keep.
 """
 from __future__ import annotations
 
@@ -189,12 +191,19 @@ def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
 def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
     """Whether each of the kernel's matchings is the strictly unique optimum of its weights.
 
-    True where every single-edge flip moves the matching's cost by more than
-    `tol`, the matrix's `tie_tol`; the matching must be optimal for the
-    answer to mean that. `mat` has the kernel's shape, one matrix or a stack,
-    and gives one flag per matrix; a stack takes one tolerance per matrix.
+    True where every assigned edge's sensitivity is positive and every
+    single-edge flip moves the matching's cost by more than `tol`, the
+    matrix's `tie_tol`. The first condition makes the matching optimal: a
+    matching that is not has a negative cycle, and so a negative assigned
+    sensitivity. So the answer holds for any matching, and a True one is
+    what any solve returns. `mat` has the kernel's shape, one matrix or a
+    stack, and gives one flag per matrix; a stack takes one tolerance per
+    matrix.
     """
-    return ~(np.abs(kernel(mat)) <= np.asarray(tol)[..., None, None]).any(axis=(-2, -1))
+    sens = kernel(mat)
+    held = sens.reshape(-1).take(kernel.assigned).reshape(mat.shape[:-2] + (-1,))
+    tied = np.abs(sens) <= np.asarray(tol)[..., None, None]
+    return (held > 0).all(axis=-1) & ~tied.any(axis=(-2, -1))
 
 
 def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:

@@ -271,13 +271,12 @@ def verify_allowable(
     return _stays_optimal(mat, _pi_array(instance, optimum), tol)
 
 
-def default_stop_tol(sens: SensitivityMatrix, instance: BipartiteInstance) -> float:
-    """Convergence tolerance scaled to the finite sensitivities, never below the tie tolerance."""
-    return _stop_tol(sens.finite_scale(), instance._dense)
+def default_stop_tol(sens: np.ndarray, mat: np.ndarray) -> float:
+    """The critical search's stop tolerance on weights `mat`, from their dense sensitivities `sens`.
 
-
-def _stop_tol(scale: float, mat: np.ndarray) -> float:
-    return max(RELATIVE_STOP_TOL * scale, _solver.tie_tol(mat))
+    Scaled to the largest finite sensitivity, never below the tie tolerance.
+    """
+    return max(RELATIVE_STOP_TOL * _solver.finite_max(sens), _solver.tie_tol(mat))
 
 
 def _residual(sens: np.ndarray, finite: np.ndarray) -> float:
@@ -304,7 +303,7 @@ def _search_start(
     kernel = _solver.ExchangeKernel(np.isfinite(mat), pi)
     sens = kernel(mat)
     _check_optimum(mat, pi, sens, allow_degenerate=False)
-    return kernel, sens, _stop_tol(_solver.finite_max(sens), mat)
+    return kernel, sens, default_stop_tol(sens, mat)
 
 
 def _search(
@@ -429,7 +428,7 @@ def is_critical(
     mat = instance._dense
     kernel = _solver.ExchangeKernel(np.isfinite(mat), _pi_array(instance, optimum))
     if tol is None:
-        tol = _stop_tol(_solver.finite_max(kernel(mat)), mat)
+        tol = default_stop_tol(kernel(mat), mat)
     sens = kernel(_perturbed_dense(instance, pert))
     return bool(_residual(sens, np.isfinite(sens)) <= tol)
 

@@ -15,11 +15,18 @@ from typing import Literal
 
 import numpy as np
 
-from . import _solver
+from . import _rng, _solver
 from .core import Assignment
 from .perturb import _certify_critical, _certify_exact
 
 Point = tuple[float, float]
+
+# Steps of noise that `run_sweep` draws per seed at once. A block costs
+# about as much as 12 `default_rng` draws for one seed of a 3x3 scenario, and
+# 22 for four seeds of a 4x4 one (148 and 282 us on 2 vCPUs), so a run
+# shorter than a block still gains. Blocks of 16 to 128 steps timed within a
+# few percent of each other on the perfbench pursuit scenarios.
+NOISE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,19 @@ def exact_distances(positions, targets) -> np.ndarray:
     """Euclidean distance matrix, agents as rows and targets as columns.
 
     `positions` may also be a stack of agent position sets, one matrix each.
+    `np.linalg.norm` squares the differences, so it reads a distance above
+    about 1.34e154 as inf; only those entries are recomputed with `np.hypot`,
+    which does not overflow but rounds differently. So every other distance
+    is the norm's, bit for bit.
     """
     pos = np.asarray(positions, dtype=float)
     tgt = np.asarray(targets, dtype=float)
-    return np.linalg.norm(pos[..., None, :] - tgt, axis=-1)
+    diff = pos[..., None, :] - tgt
+    dist = np.linalg.norm(diff, axis=-1)
+    over = np.isinf(dist)
+    if over.any():
+        dist[over] = np.hypot(*diff[over].T)
+    return dist
 
 
 def measure_weights(
@@ -110,8 +126,10 @@ def measure_weights(
 ) -> np.ndarray:
     """Noisy distance measurements at one step.
 
-    The default generator is seeded from (scenario.seed, step), so a given
-    step's measurement never depends on how earlier steps were consumed.
+    The default generator is `np.random.default_rng((scenario.seed, step))`,
+    so a given step's measurement never depends on how earlier steps were
+    consumed. `run_sweep` draws the same noise in blocks (`_rng`); this
+    function keeps numpy's generator as the independent reference.
     """
     if rng is None:
         rng = np.random.default_rng((scenario.seed, step))
@@ -156,6 +174,7 @@ class _Run:
         self.certification_step: int | None = None
         self.locked: Assignment | None = None
         self.previous: Assignment | None = None
+        self.pi: np.ndarray | None = None  # the task->agent map of `previous`
         self.outcome: SimLog | ValueError | None = None
 
     def finish(self, policy: str, exhausted: bool) -> None:
@@ -178,19 +197,29 @@ def run_sweep(
 
     Each log is the one that seed's run alone gives (see `run_simulation`).
     At each step every live seed measures its weights on one stacked
-    distance computation with its own `default_rng((seed, step))` noise, and
-    every seed that still solves gets `_solver.solve_dense` on its matrix.
-    One `_solver.unique_optima` pass over the stack then tests all their
-    optima; its kernel depends on their maps alone and is rebuilt only when
-    that stack of maps changes, and a tied optimum goes to
-    `_solver.canonical_assignment`. Certification stays per seed, on arrays:
-    a solving step of any seed has every weight finite, so all of them share
-    the complete edge set and the scalar bound. The edges that `certify_exact`
-    holds fixed depend on that edge set alone (see `_solver`), so their mask
-    is computed once per sweep; the critical search builds the exchange
-    kernel of its own map at each step it runs. A seed whose measured
-    distance overflows to infinity raises ValueError when the iteration
-    reaches it, after the logs of the seeds before it.
+    distance computation. Its noise is that of `measure_weights`,
+    `default_rng((seed, step))`, bit for bit, but `_rng.uniform_block` draws
+    it for every live seed and NOISE_BLOCK steps at once.
+
+    Every seed that still solves is first warm-started: one
+    `_solver.unique_optima` pass tests each seed's previous map on its new
+    weights, and a map that is still the strictly unique optimum is the one
+    a solve would give, so the seed keeps it (the dynamic Hungarian idea;
+    Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). Its kernel
+    depends on the previous maps alone and is rebuilt only when that stack
+    changes. The other seeds, and every seed's first step, get
+    `_solver.solve_dense`, one `unique_optima` pass over their stack, and
+    `_solver.canonical_assignment` where the optimum is tied.
+
+    Certification stays per seed, on arrays: a solving step of any seed has
+    every weight finite, so all of them share the complete edge set and the
+    scalar bound. The edges that `certify_exact` holds fixed depend on that
+    edge set alone (see `_solver`), so their mask is computed once per
+    sweep; the critical search builds the exchange kernel of its own map at
+    each step it runs. A seed whose measured distance, or the optimal cost
+    of whose weights, overflows to infinity raises ValueError when the
+    iteration reaches it, after the logs of the seeds before it; a negative
+    seed raises ValueError before any log.
     """
     if policy not in ("naive", "certified"):
         raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
@@ -207,15 +236,13 @@ def run_sweep(
     for k in range(scenario.max_steps):
         if not live:
             break
+        if k % NOISE_BLOCK == 0:
+            count = min(NOISE_BLOCK, scenario.max_steps - k)
+            live_seeds = [run.scenario.seed for run in live]
+            noise = _rng.uniform_block(live_seeds, k, count, -noise_bound, noise_bound, shape)
+            rows = np.arange(len(live))
         weights = exact_distances([run.positions for run in live], targets)
-        weights += np.array(
-            [
-                np.random.default_rng((run.scenario.seed, k)).uniform(
-                    -noise_bound, noise_bound, size=shape
-                )
-                for run in live
-            ]
-        )
+        weights += noise[rows, k % NOISE_BLOCK]
         # Each seed's max|w|: the scale of its tie tolerance, and inf if any weight is.
         scale = np.abs(weights).max(axis=(1, 2))
         finite = np.isfinite(scale)
@@ -230,32 +257,48 @@ def run_sweep(
                 )
             else:
                 solving.append(i)
+        tol = _solver.tie_tol(weights, scale)
         maps: dict[int, np.ndarray] = {}
-        if solving:
-            # With every weight finite and agents >= targets, a matching exists.
-            solved = [_solver.solve_dense(weights[i]) for i in solving]
-            base = np.array([task_to_agent for _, task_to_agent in solved])
-            if kernel is None or not np.array_equal(kernel.pi, base):
-                kernel = _solver.ExchangeKernel(edge, base)
-            tol = _solver.tie_tol(weights, scale[solving])
-            unique = _solver.unique_optima(kernel, weights[solving], tol)
-            for j, i in enumerate(solving):
-                cost, task_to_agent = solved[j]
-                if not unique[j]:
+        warm = [i for i in solving if live[i].pi is not None]
+        if warm:
+            previous = np.array([live[i].pi for i in warm])
+            if kernel is None or not np.array_equal(kernel.pi, previous):
+                kernel = _solver.ExchangeKernel(edge, previous)
+            kept = _solver.unique_optima(kernel, weights[warm], tol[warm])
+            maps = {i: live[i].pi for i, keep in zip(warm, kept) if keep}
+        # With every weight finite and agents >= targets, a matching exists,
+        # but its cost can still overflow.
+        solved = {i: _solver.solve_dense(weights[i]) for i in solving if i not in maps}
+        cold = [i for i, res in solved.items() if res is not None]
+        for i in solved.keys() - cold:
+            live[i].outcome = ValueError(
+                "optimal cost of the measured weights must be finite, got inf"
+            )
+        if cold:
+            base = np.array([solved[i][1] for i in cold])
+            cold_kernel = _solver.ExchangeKernel(edge, base)
+            unique = _solver.unique_optima(cold_kernel, weights[cold], tol[cold])
+            for i, alone in zip(cold, unique):
+                cost, task_to_agent = solved[i]
+                if not alone:
                     task_to_agent = _solver.canonical_assignment(weights[i], task_to_agent, cost)
                 maps[i] = task_to_agent
-        rows = weights.tolist()
+        records = weights.tolist()
         for i, run in enumerate(live):
             if run.outcome is not None:
                 continue
             if run.locked is not None:
                 assn = run.locked
             else:
-                pairs = tuple(enumerate(maps[i].tolist()))
-                same = run.previous is not None and run.previous.pairs == pairs
-                assn = run.previous if same else Assignment(pairs)
+                if maps[i] is run.pi:
+                    assn = run.previous
+                else:
+                    run.pi = maps[i]
+                    pairs = tuple(enumerate(run.pi.tolist()))
+                    same = run.previous is not None and run.previous.pairs == pairs
+                    assn = run.previous if same else Assignment(pairs)
                 if policy == "certified":
-                    pi, mat = maps[i], weights[i]
+                    pi, mat = run.pi, weights[i]
                     # The exact test is necessary for the paper's certificate,
                     # so the critical search runs only where a lock is possible.
                     exact = _certify_exact(mat, pi, noise_bound, fixed, scale[i] + noise_bound)
@@ -268,7 +311,7 @@ def run_sweep(
             run.steps.append(
                 SimStep(
                     k,
-                    tuple(map(tuple, rows[i])),
+                    tuple(map(tuple, records[i])),
                     assn,
                     run.positions,
                     run.locked is not None,
@@ -284,7 +327,9 @@ def run_sweep(
             run.previous = assn
             if _arrived(moved, assn, targets):
                 run.finish(policy, exhausted=False)
-        live = [run for run in live if run.outcome is None]
+        going = [run.outcome is None for run in live]
+        live = [run for run, on in zip(live, going) if on]
+        rows = rows[going]
     for run in live:
         run.finish(policy, exhausted=True)
     return _in_seed_order(runs)
@@ -311,11 +356,12 @@ def run_simulation(scenario: Scenario, policy: Literal["naive", "certified"]) ->
     assigned agent has reached its target or after `scenario.max_steps`
     steps (`exhausted=True`).
 
-    Each step solves the measured matrix as `solve_lap` does, and certifies
-    it, on the dense layer, with no `BipartiteInstance`. A step whose solve
-    gives the previous step's map keeps the previous `Assignment`. This is
-    `run_sweep` of the scenario's own seed. Raises ValueError when a
-    measured distance overflows to infinity.
+    Each step takes the assignment that `solve_lap` gives on the measured
+    matrix, and certifies it, on the dense layer, with no
+    `BipartiteInstance`; a step that keeps the previous step's map keeps
+    the previous `Assignment`. This is `run_sweep` of the scenario's own
+    seed. Raises ValueError when a measured distance overflows to infinity
+    or the seed is negative.
     """
     return next(run_sweep(scenario, [scenario.seed], policy))
 

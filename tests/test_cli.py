@@ -340,7 +340,11 @@ class TestSimulate:
         [
             ("[[NaN,0],[1,0]]", "coordinates must be finite"),
             ("[[0,0],[1,Infinity]]", "coordinates must be finite"),
-            ("[[-1e308,0],[1,0]]", "measured weight for edge (0, 0) must be finite, got inf"),
+            # More than the largest float from the targets, even measured with `np.hypot`.
+            (
+                "[[-1.5e308,-1.5e308],[1,0]]",
+                "measured weight for edge (0, 0) must be finite, got inf",
+            ),
         ],
     )
     def test_non_finite_coordinates_are_usage_errors(self, capsys, tmp_path, agents, message):

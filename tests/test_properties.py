@@ -158,6 +158,18 @@ class TestSolverAgainstOracle:
         )
 
     @SETTINGS
+    @given(dense_grids(), st.data())
+    def test_unique_optima_on_any_matching(self, grid, data):
+        # True exactly for the one optimum of a grid that has one, whichever
+        # matching the kernel holds: one that is not optimal is refused too.
+        matchings = oracle_enumerate(grid)
+        pi = data.draw(st.sampled_from([perm for _, perm in matchings]))
+        _, optima = oracle_optima(grid, matchings=matchings)
+        mat = np.array(grid, dtype=float)
+        kernel = ExchangeKernel(np.ones(mat.shape, dtype=bool), np.array(pi))
+        assert bool(_solver.unique_optima(kernel, mat, _solver.tie_tol(mat))) == (optima == [pi])
+
+    @SETTINGS
     @given(sparse_grids())
     def test_uniqueness_on_sparse_grids(self, grid):
         _, optima = oracle_optima(grid)
@@ -566,7 +578,6 @@ def _reference_critical_search(instance, optimum):
     prepared kernel's bit for bit.
     """
     sens0 = elementwise_sensitivities(instance, optimum)
-    tol = default_stop_tol(sens0, instance)
     edges = instance.sorted_edges()
     saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
 
@@ -577,6 +588,7 @@ def _reference_critical_search(instance, optimum):
     sens = np.full(shape, np.nan)
     for edge, v in sens0.values.items():
         sens[edge] = v
+    tol = default_stop_tol(sens, mat)
     finite = np.isfinite(sens)
     all_saturated = bool(edges) and not finite.any()
     floor = math.inf if all_saturated else 0.0
@@ -748,7 +760,7 @@ class TestCertifyCriticalEarlyStop:
             report = critical_search(inst, assn)
         except DegenerateOptimumError:
             assume(False)
-        tol = default_stop_tol(report.sensitivities, inst)
+        tol = default_stop_tol(np.array(list(report.sensitivities.values.values())), inst.dense())
         # Each edge clears its bound by at most 0.9 tol at the converged
         # perturbation, so no earlier iterate clears it by more than tol.
         wobble = st.floats(-0.9, 0.9)

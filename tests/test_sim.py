@@ -298,6 +298,16 @@ class TestRunSimulation:
             list(run_sweep(sc, range(3), policy))
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    def test_overflowing_optimal_cost_rejected(self, policy):
+        # Every distance is finite, about 1e308, but any assignment's cost overflows.
+        sc = swap_scenario(agent_positions=((-1e308, 0.0), (1e308, 0.0)),
+                           target_positions=((0.0, 1e307), (0.0, -1e307)))
+        with pytest.raises(ValueError, match="^optimal cost of the measured weights must be"):
+            run_simulation(sc, policy)
+
+
 def _tied_scenario():
     """Zero noise, three agents on one point and two targets on another.
 
@@ -430,14 +440,18 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_seed_raises_after_the_seeds_before_it(self):
-        # The targets are 1.4e154 apart, so the squared distance to the far
-        # target overflows once an agent gets close to its own; on some seeds
-        # one agent arrives while the other still moves and measures it.
+        # The targets are 2**1024 apart, more than the largest float, so an
+        # agent on its target measures its distance to the other one as inf,
+        # with or without `np.hypot`. Two agents contest the left target; on
+        # some seeds it is reached before the right one, while the run goes on.
+        far = 2.0**1023
         sc = Scenario(
-            agent_positions=((-1.4e152, 1.4e153), (-7e152, 4.9e153)),
-            target_positions=((-7e153, 0.0), (7e153, 0.0)),
-            speed=2.2e153,
-            noise_bound=1.85e153,
+            agent_positions=(
+                (-far + 2e306, 5e306), (-far + 3e306, -4.5e306), (far - 3e306, 5e306)
+            ),
+            target_positions=((-far, 0.0), (far, 0.0)),
+            speed=1e306,
+            noise_bound=1e306,
             max_steps=50,
         )
         sweep = run_sweep(sc, range(8), "naive")
@@ -450,6 +464,87 @@ class TestSweep:
                 break
             assert repr(next(sweep)) == want
         assert seed == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_distances_past_the_squares_overflow_are_measured(self):
+        # The targets are 1.4e154 apart, so the squared distance to the far
+        # target overflows once an agent gets close to its own; `np.hypot`
+        # measures it, and the norm measures every other distance.
+        sc = Scenario(
+            agent_positions=((-1.4e152, 1.4e153), (-7e152, 4.9e153)),
+            target_positions=((-7e153, 0.0), (7e153, 0.0)),
+            speed=2.2e153,
+            noise_bound=1.85e153,
+            max_steps=50,
+        )
+        logs = list(run_sweep(sc, range(8), "naive"))
+        for seed, log in enumerate(logs):
+            want = reference_simulation(dataclasses.replace(sc, seed=seed), "naive")
+            assert repr(log) == repr(want)
+        assert any(max(map(max, step.weights)) > 1.4e154 for log in logs for step in log.steps)
+
+    def test_negative_seed_raises_before_any_log(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            run_sweep(contested3_scenario(0), [0, 1, -1], "naive")
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            run_simulation(contested3_scenario(-2), "certified")
+
+
+class TestWarmStart:
+    """A seed keeps its previous map exactly where it is still the strictly unique optimum."""
+
+    @staticmethod
+    def _previous_maps(log):
+        """Per step after the first: whether the previous map is optimal, and tied, there."""
+        states = []
+        for before, step in zip(log.steps, log.steps[1:]):
+            mat = np.array(step.weights)
+            pi = np.array([agent for _, agent in before.assignment.pairs])
+            sens = _solver.sens_dense(mat, pi)
+            tol = _solver.tie_tol(mat)
+            optimal = bool((sens[pi, np.arange(len(pi))] >= -tol).all())
+            states.append((optimal, bool((np.abs(sens) <= tol).any())))
+        return states
+
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(_tied_scenario(), id="tied"),
+            pytest.param(
+                dataclasses.replace(_tied_scenario(), target_positions=((0.0, 6.0), (0.0, 6.0))),
+                id="tied_rectangular",
+            ),
+        ],
+    )
+    def test_previous_map_optimal_but_tied(self, scenario, policy):
+        logs = list(run_sweep(scenario, range(3), policy))
+        assert (True, True) in self._previous_maps(logs[0])
+        for seed, log in enumerate(logs):
+            want = reference_simulation(dataclasses.replace(scenario, seed=seed), policy)
+            assert repr(log) == repr(want)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [_rectangular_scenario(0), contested4_scenario(0)],
+        ids=["rectangular", "contested4"],
+    )
+    def test_previous_map_no_longer_optimal(self, scenario):
+        logs = list(run_sweep(scenario, range(6), "naive"))
+        states = [state for log in logs for state in self._previous_maps(log)]
+        assert (False, False) in states
+        for seed, log in enumerate(logs):
+            want = reference_simulation(dataclasses.replace(scenario, seed=seed), "naive")
+            assert repr(log) == repr(want)
+
+    def test_naive_contested4_solves_far_fewer_than_seed_steps(self, monkeypatch):
+        solves = []
+        solve_dense = _solver.solve_dense
+        monkeypatch.setattr(_solver, "solve_dense", lambda m: solves.append(1) or solve_dense(m))
+        logs = run_sweep(contested4_scenario(0), range(8), "naive")
+        seed_steps = sum(len(log.steps) for log in logs)
+        assert seed_steps > 300
+        assert len(solves) * 10 < seed_steps
 
 
 class TestCertifiedPrefilter:

@@ -23,8 +23,9 @@ pass and `perturb.is_critical` one for both of its passes; `sens_dense` is
 the one-off form. `unique_optima` turns a kernel's values into flags, one
 per matrix: whether the kernel's matching is the strictly unique optimum,
 for any matching, optimal or not. `sim.run_sweep` uses that to warm-start:
-it tests every solving seed's previous map on the new weights, reusing the
-kernel while those maps stay the same, and solves only the seeds it refuses.
+it tests every solving seed's previous map on the new weights and solves
+only the seeds it refuses, reusing one kernel while the stack of maps it
+tests stays the same.
 
 A sensitivity is infinite exactly where every full matching uses the edge,
 or none does. So the mask of infinities depends on the edge set alone, not

@@ -205,11 +205,12 @@ def run_sweep(
     `_solver.unique_optima` pass tests each seed's previous map on its new
     weights, and a map that is still the strictly unique optimum is the one
     a solve would give, so the seed keeps it (the dynamic Hungarian idea;
-    Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). Its kernel
-    depends on the previous maps alone and is rebuilt only when that stack
-    changes. The other seeds, and every seed's first step, get
-    `_solver.solve_dense`, one `unique_optima` pass over their stack, and
-    `_solver.canonical_assignment` where the optimum is tied.
+    Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). The other seeds,
+    and every seed's first step, get `_solver.solve_dense`, one
+    `unique_optima` pass over their stack, and
+    `_solver.canonical_assignment` where the optimum is tied. Both passes
+    share one stacked kernel, which depends on the maps alone and is
+    rebuilt only for a stack of maps it does not hold.
 
     Certification stays per seed, on arrays: a solving step of any seed has
     every weight finite, so all of them share the complete edge set and the
@@ -261,9 +262,7 @@ def run_sweep(
         maps: dict[int, np.ndarray] = {}
         warm = [i for i in solving if live[i].pi is not None]
         if warm:
-            previous = np.array([live[i].pi for i in warm])
-            if kernel is None or not np.array_equal(kernel.pi, previous):
-                kernel = _solver.ExchangeKernel(edge, previous)
+            kernel = _stacked_kernel(kernel, edge, [live[i].pi for i in warm])
             kept = _solver.unique_optima(kernel, weights[warm], tol[warm])
             maps = {i: live[i].pi for i, keep in zip(warm, kept) if keep}
         # With every weight finite and agents >= targets, a matching exists,
@@ -275,9 +274,8 @@ def run_sweep(
                 "optimal cost of the measured weights must be finite, got inf"
             )
         if cold:
-            base = np.array([solved[i][1] for i in cold])
-            cold_kernel = _solver.ExchangeKernel(edge, base)
-            unique = _solver.unique_optima(cold_kernel, weights[cold], tol[cold])
+            kernel = _stacked_kernel(kernel, edge, [solved[i][1] for i in cold])
+            unique = _solver.unique_optima(kernel, weights[cold], tol[cold])
             for i, alone in zip(cold, unique):
                 cost, task_to_agent = solved[i]
                 if not alone:
@@ -333,6 +331,14 @@ def run_sweep(
     for run in live:
         run.finish(policy, exhausted=True)
     return _in_seed_order(runs)
+
+
+def _stacked_kernel(kernel, edge: np.ndarray, maps: list[np.ndarray]) -> _solver.ExchangeKernel:
+    """`kernel` if it holds exactly this stack of maps, else a new kernel on them."""
+    stack = np.array(maps)
+    if kernel is None or not np.array_equal(kernel.pi, stack):
+        kernel = _solver.ExchangeKernel(edge, stack)
+    return kernel
 
 
 def _in_seed_order(runs: list[_Run]) -> Iterator[SimLog]:

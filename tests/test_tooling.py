@@ -93,9 +93,9 @@ def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypa
     # An unlocked certified step certifies on arrays: no `BipartiteInstance`.
     # The fixed edges come from one `sens_dense` mask per sweep, and each
     # `_certify_critical` call builds one one-map exchange kernel of its own.
-    # The warm start's stacked kernel, on the previous maps of the seeds that
-    # still solve, is rebuilt only when that stack changes; each step that
-    # solves some seed builds one more on the fresh solves.
+    # The sweep keeps one stacked kernel. Each step tests the previous maps
+    # of the seeds that still solve on it, then the fresh solves of the seeds
+    # it refused, and rebuilds it only for a stack of maps it does not hold.
     calls = {
         "instances": 0,
         "sens_dense": 0,
@@ -136,11 +136,13 @@ def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypa
     # does not reassign. Step k solves the seeds that lock at k or later.
     last = max(log.certification_step for log in logs)
     solving = [[log for log in logs if k <= log.certification_step] for k in range(last + 1)]
-    warm = [[log.steps[k - 1].assignment for log in solving[k]] for k in range(1, last + 1)]
-    warm_builds = sum(a != b for a, b in zip([None] + warm, warm))
-    solved_steps = 1 + sum(
-        any(log.steps[k].reassigned for log in solving[k]) for k in range(1, last + 1)
-    )
+    held, stacked_builds = None, 0
+    for k in range(last + 1):
+        warm = [log.steps[k - 1].assignment for log in solving[k]] if k else []
+        cold = [log.steps[k].assignment for log in solving[k] if not k or log.steps[k].reassigned]
+        for stack in filter(None, [warm, cold]):
+            stacked_builds += stack != held
+            held = stack
     # Every seed locks, on a search; the exact test spares the other steps some.
     searches = calls["_certify_critical"]
     assert len(logs) <= searches < sum(map(len, solving))
@@ -149,7 +151,7 @@ def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypa
         "sens_dense": 1,
         "_certify_critical": searches,
         "one_map_kernels": searches + 1,
-        "stacked_kernels": warm_builds + solved_steps,
+        "stacked_kernels": stacked_builds,
     }
 
 

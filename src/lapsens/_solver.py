@@ -22,15 +22,12 @@ that B separate kernels give. The critical search calls one kernel on every
 pass and `perturb.is_critical` one for both of its passes; `sens_dense` is
 the one-off form. `unique_optima` turns a kernel's values into flags, one
 per matrix: whether the kernel's matching is the strictly unique optimum,
-for any matching, optimal or not. `sim.run_sweep` uses that to warm-start:
-it tests every solving seed's previous map on the new weights and solves
-only the seeds it refuses, reusing one kernel while the stack of maps it
-tests stays the same.
+for any matching, optimal or not.
 
 A sensitivity is infinite exactly where every full matching uses the edge,
 or none does. So the mask of infinities depends on the edge set alone, not
 on the weights or on which full matching the kernel holds: `certify_exact`
-takes its fixed edges from it, and `sim.run_sweep` computes it once per sweep.
+takes its fixed edges from it.
 
 Costs tie within `tie_tol`, TIE_RTOL * tasks * max|w|: rounding in a sum of
 n weights grows with n * max|w| (Higham, Accuracy and Stability of Numerical
@@ -39,8 +36,7 @@ Algorithms, 4.2). Every tie and optimality decision takes its tolerance here.
 `solve_canonical` is the whole solve on one matrix: `solve_dense`, the
 uniqueness test from a one-off kernel (`unique_optimum`), and
 `canonical_assignment` only when the optimum is tied. `core.solve_lap` wraps
-it for instances; `sim.run_sweep` runs the same three steps on the stack of
-seeds whose previous map it did not keep.
+it for instances.
 """
 from __future__ import annotations
 

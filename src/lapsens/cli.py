@@ -15,12 +15,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 from .core import BipartiteInstance, solve_lap
-from .errors import (
-    DegenerateOptimumError,
-    InfeasibleError,
-    LapsensError,
-    ParseError,
-)
+from .errors import DegenerateOptimumError, InfeasibleError, LapsensError
 from .io import (
     edge_values,
     encode_number,
@@ -339,16 +334,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InfeasibleError, DegenerateOptimumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LapsensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (LapsensError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

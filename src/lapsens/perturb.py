@@ -160,11 +160,15 @@ def _perturbed_dense(instance: BipartiteInstance, pert: Perturbation) -> np.ndar
 
 
 def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
-    """Whether matching `pi` costs within `tol` of the optimal cost of `mat`."""
+    """Whether matching `pi` costs within `tol` of the optimal cost of `mat`.
+
+    `pi` is a matching of `mat`, so the solve fails only when every
+    matching's cost overflows; that raises ValueError.
+    """
     base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
     res = _solver.solve_dense(mat)
     if res is None:
-        raise ValueError("the reference assignment is not a matching of the instance")
+        raise ValueError("optimal cost of the perturbed weights must be finite, got inf")
     return bool(base <= res[0] + tol)
 
 

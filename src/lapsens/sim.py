@@ -8,6 +8,7 @@ distances, then locks it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -106,33 +107,30 @@ def exact_distances(positions, targets) -> np.ndarray:
     """Euclidean distance matrix, agents as rows and targets as columns.
 
     `positions` may also be a stack of agent position sets, one matrix each.
-    `np.linalg.norm` squares the differences, so it reads a distance above
-    about 1.34e154 as inf; only those entries are recomputed with `np.hypot`,
-    which does not overflow but rounds differently. So every other distance
-    is the norm's, bit for bit.
+    Each distance is the square root of the summed squared differences, the
+    arithmetic of `np.linalg.norm` on one axis, bit for bit. The squares read
+    a distance above about 1.34e154 as inf; only those entries are recomputed
+    with `np.hypot`, which does not overflow but rounds differently.
     """
     pos = np.asarray(positions, dtype=float)
     tgt = np.asarray(targets, dtype=float)
     diff = pos[..., None, :] - tgt
-    dist = np.linalg.norm(diff, axis=-1)
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
     over = np.isinf(dist)
     if over.any():
         dist[over] = np.hypot(*diff[over].T)
     return dist
 
 
-def measure_weights(
-    scenario: Scenario, positions, step: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def measure_weights(scenario: Scenario, positions, step: int) -> np.ndarray:
     """Noisy distance measurements at one step.
 
-    The default generator is `np.random.default_rng((scenario.seed, step))`,
-    so a given step's measurement never depends on how earlier steps were
+    The noise comes from `np.random.default_rng((scenario.seed, step))`, so a
+    given step's measurement never depends on how earlier steps were
     consumed. `run_sweep` draws the same noise in blocks (`_rng`); this
     function keeps numpy's generator as the independent reference.
     """
-    if rng is None:
-        rng = np.random.default_rng((scenario.seed, step))
+    rng = np.random.default_rng((scenario.seed, step))
     dist = exact_distances(positions, scenario.target_positions)
     noise = rng.uniform(-scenario.noise_bound, scenario.noise_bound, size=dist.shape)
     return dist + noise
@@ -203,24 +201,23 @@ def run_sweep(
 
     Every seed that still solves is first warm-started: one
     `_solver.unique_optima` pass tests each seed's previous map on its new
-    weights, and a map that is still the strictly unique optimum is the one
-    a solve would give, so the seed keeps it (the dynamic Hungarian idea;
-    Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). The other seeds,
-    and every seed's first step, get `_solver.solve_dense`, one
-    `unique_optima` pass over their stack, and
-    `_solver.canonical_assignment` where the optimum is tied. Both passes
-    share one stacked kernel, which depends on the maps alone and is
-    rebuilt only for a stack of maps it does not hold.
+    weights. A map that is still the strictly unique optimum is the one any
+    solve would give, so the seed keeps it (the dynamic Hungarian idea;
+    Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). The pass runs one
+    stacked exchange kernel, which depends on the maps alone and is rebuilt
+    only for a stack of maps it does not hold. The other seeds, and every
+    seed's first step, get `_solver.solve_canonical`, the solve of
+    `solve_lap`.
 
     Certification stays per seed, on arrays: a solving step of any seed has
     every weight finite, so all of them share the complete edge set and the
-    scalar bound. The edges that `certify_exact` holds fixed depend on that
-    edge set alone (see `_solver`), so their mask is computed once per
-    sweep; the critical search builds the exchange kernel of its own map at
-    each step it runs. A seed whose measured distance, or the optimal cost
-    of whose weights, overflows to infinity raises ValueError when the
-    iteration reaches it, after the logs of the seeds before it; a negative
-    seed raises ValueError before any log.
+    scalar bound. On that edge set, only the lone edge of a 1x1 scenario is
+    in every full matching, so it is the one edge that `certify_exact` holds
+    fixed. The critical search builds the exchange kernel of its own map at
+    each step it runs. A seed whose measured distance, the optimal cost of
+    whose weights, or whose certification overflows to infinity raises
+    ValueError when the iteration reaches it, after the logs of the seeds
+    before it; a negative seed raises ValueError before any log.
     """
     if policy not in ("naive", "certified"):
         raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
@@ -228,10 +225,8 @@ def run_sweep(
     targets = scenario.target_positions
     shape = (len(scenario.agent_positions), len(targets))
     edge = np.ones(shape, dtype=bool)
+    fixed = np.full(shape, shape == (1, 1))
     noise_bound = scenario.noise_bound
-    if policy == "certified":
-        # Any full matching gives the mask; agent t holding task t is one.
-        fixed = np.isinf(_solver.sens_dense(np.zeros(shape), np.arange(shape[1])))
     live = runs
     kernel = None
     for k in range(scenario.max_steps):
@@ -247,62 +242,54 @@ def run_sweep(
         # Each seed's max|w|: the scale of its tie tolerance, and inf if any weight is.
         scale = np.abs(weights).max(axis=(1, 2))
         finite = np.isfinite(scale)
-        solving = []
+        warm = [
+            i for i, run in enumerate(live)
+            if run.locked is None and run.pi is not None and finite[i]
+        ]
+        kept = set()
+        if warm:
+            stack = np.array([live[i].pi for i in warm])
+            if kernel is None or not np.array_equal(kernel.pi, stack):
+                kernel = _solver.ExchangeKernel(edge, stack)
+            tol = _solver.tie_tol(weights, scale[warm])
+            kept = set(itertools.compress(warm, _solver.unique_optima(kernel, weights[warm], tol)))
+        records = weights.tolist()
         for i, run in enumerate(live):
             if run.locked is not None:
-                continue
-            if not finite[i]:
+                assn = run.locked
+            elif not finite[i]:
                 a, t = np.argwhere(~np.isfinite(weights[i]))[0]
                 run.outcome = ValueError(
                     f"measured weight for edge ({a}, {t}) must be finite, got {weights[i, a, t]}"
                 )
-            else:
-                solving.append(i)
-        tol = _solver.tie_tol(weights, scale)
-        maps: dict[int, np.ndarray] = {}
-        warm = [i for i in solving if live[i].pi is not None]
-        if warm:
-            kernel = _stacked_kernel(kernel, edge, [live[i].pi for i in warm])
-            kept = _solver.unique_optima(kernel, weights[warm], tol[warm])
-            maps = {i: live[i].pi for i, keep in zip(warm, kept) if keep}
-        # With every weight finite and agents >= targets, a matching exists,
-        # but its cost can still overflow.
-        solved = {i: _solver.solve_dense(weights[i]) for i in solving if i not in maps}
-        cold = [i for i, res in solved.items() if res is not None]
-        for i in solved.keys() - cold:
-            live[i].outcome = ValueError(
-                "optimal cost of the measured weights must be finite, got inf"
-            )
-        if cold:
-            kernel = _stacked_kernel(kernel, edge, [solved[i][1] for i in cold])
-            unique = _solver.unique_optima(kernel, weights[cold], tol[cold])
-            for i, alone in zip(cold, unique):
-                cost, task_to_agent = solved[i]
-                if not alone:
-                    task_to_agent = _solver.canonical_assignment(weights[i], task_to_agent, cost)
-                maps[i] = task_to_agent
-        records = weights.tolist()
-        for i, run in enumerate(live):
-            if run.outcome is not None:
                 continue
-            if run.locked is not None:
-                assn = run.locked
+            elif i in kept:
+                assn = run.previous
             else:
-                if maps[i] is run.pi:
-                    assn = run.previous
-                else:
-                    run.pi = maps[i]
-                    pairs = tuple(enumerate(run.pi.tolist()))
-                    same = run.previous is not None and run.previous.pairs == pairs
-                    assn = run.previous if same else Assignment(pairs)
-                if policy == "certified":
-                    pi, mat = run.pi, weights[i]
-                    # The exact test is necessary for the paper's certificate,
-                    # so the critical search runs only where a lock is possible.
+                # With every weight finite and agents >= targets, a matching
+                # exists, but its cost can still overflow.
+                res = _solver.solve_canonical(weights[i])
+                if res is None:
+                    run.outcome = ValueError(
+                        "optimal cost of the measured weights must be finite, got inf"
+                    )
+                    continue
+                run.pi = res[0]
+                pairs = tuple(enumerate(run.pi.tolist()))
+                same = run.previous is not None and run.previous.pairs == pairs
+                assn = run.previous if same else Assignment(pairs)
+            if run.locked is None and policy == "certified":
+                pi, mat = run.pi, weights[i]
+                # The exact test is necessary for the paper's certificate,
+                # so the critical search runs only where a lock is possible.
+                try:
                     exact = _certify_exact(mat, pi, noise_bound, fixed, scale[i] + noise_bound)
-                    if exact and _certify_critical(mat, pi, noise_bound):
-                        run.locked = assn
-                        run.certification_step = k
+                except ValueError as exc:
+                    run.outcome = exc
+                    continue
+                if exact and _certify_critical(mat, pi, noise_bound):
+                    run.locked = assn
+                    run.certification_step = k
             reassigned = run.previous is not None and assn != run.previous
             if reassigned:
                 run.reassignments += 1
@@ -331,14 +318,6 @@ def run_sweep(
     for run in live:
         run.finish(policy, exhausted=True)
     return _in_seed_order(runs)
-
-
-def _stacked_kernel(kernel, edge: np.ndarray, maps: list[np.ndarray]) -> _solver.ExchangeKernel:
-    """`kernel` if it holds exactly this stack of maps, else a new kernel on them."""
-    stack = np.array(maps)
-    if kernel is None or not np.array_equal(kernel.pi, stack):
-        kernel = _solver.ExchangeKernel(edge, stack)
-    return kernel
 
 
 def _in_seed_order(runs: list[_Run]) -> Iterator[SimLog]:

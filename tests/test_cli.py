@@ -354,6 +354,22 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_certification_prints_the_seeds_before_it(self, capsys, tmp_path):
+        # Seed 0 locks on step 0; seed 1's worst case overflows every matching's cost.
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"agent_positions":[[0,0],[1.27e308,0]],'
+            '"target_positions":[[0,8e307],[1.27e308,8e307]],'
+            '"speed":1e300,"noise_bound":1e307,"seed":0,"max_steps":3}'
+        )
+        args = ("simulate", "--input", str(path), "--policy", "certified")
+        _, seed0, _ = run_cli(capsys, *args, "--seed", "0")
+        code, out, err = run_cli(capsys, *args, "--seeds", "0..1")
+        assert (code, out) == (2, seed0)
+        assert "certification_step 0" in seed0
+        assert err == "error: optimal cost of the perturbed weights must be finite, got inf\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [('"speed":0.25', '"speed":"fast"'), ('"noise_bound":0.08', '"noise_bound":null')],

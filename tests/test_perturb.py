@@ -24,6 +24,8 @@ from lapsens import (
 
 from conftest import DEMO_OPTIMUM, DEMO_SENSITIVITIES
 
+OVERFLOW = "^optimal cost of the perturbed weights must be finite, got inf$"
+
 
 @pytest.fixture()
 def demo_sens(demo_instance, demo_optimum):
@@ -154,6 +156,18 @@ class TestVerifyAllowable:
     def test_edge_set_mismatch_rejected(self, demo_instance, demo_optimum):
         with pytest.raises(ShapeMismatchError):
             verify_allowable(demo_instance, demo_optimum, Perturbation({(0, 0): 0.0}))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_perturbed_cost_names_the_overflow(self):
+        # The optimum costs 1.6e308. Its worst case under +/-1e307 raises its
+        # own edges and lowers the others, and then every matching's cost overflows.
+        inst = BipartiteInstance.from_matrix([[8e307, 1.5e308], [1.5e308, 8e307]])
+        assn = solve_lap(inst).assignment
+        deltas = {(0, 0): 1e307, (0, 1): -1e307, (1, 0): -1e307, (1, 1): 1e307}
+        with pytest.raises(ValueError, match=OVERFLOW):
+            verify_allowable(inst, assn, Perturbation(deltas))
+        with pytest.raises(ValueError, match=OVERFLOW):
+            certify_exact(inst, assn, ErrorBounds.uniform(inst.edges, 1e307))
 
 
 class TestCriticalSearch:

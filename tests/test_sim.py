@@ -466,6 +466,37 @@ class TestSweep:
         assert seed == 2
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_certification_raises_after_the_seeds_before_it(self):
+        # The optimum costs about 1.6e308. Seed 0 locks on step 0; on seed 1's
+        # step 0, the worst case of the noise bound overflows every matching's cost.
+        sc = Scenario(
+            agent_positions=((0.0, 0.0), (1.27e308, 0.0)),
+            target_positions=((0.0, 8e307), (1.27e308, 8e307)),
+            speed=1e300,
+            noise_bound=1e307,
+            max_steps=3,
+        )
+        message = "^optimal cost of the perturbed weights must be finite, got inf$"
+        sweep = run_sweep(sc, [0, 1], "certified")
+        log = next(sweep)
+        assert log.certification_step == 0
+        assert repr(log) == repr(run_simulation(sc, "certified"))
+        assert repr(log) == repr(reference_simulation(sc, "certified"))
+        with pytest.raises(ValueError, match=message):
+            next(sweep)
+        with pytest.raises(ValueError, match=message):
+            reference_simulation(dataclasses.replace(sc, seed=1), "certified")
+        assert len(list(run_sweep(sc, [0, 1], "naive"))) == 2
+
+    def test_only_a_lone_edge_is_fixed_on_the_complete_edge_set(self):
+        # `run_sweep` holds fixed the edges whose sensitivity is infinite on
+        # the complete edge set; any full matching gives that mask.
+        for agents in range(1, 7):
+            for tasks in range(1, agents + 1):
+                sens = _solver.sens_dense(np.zeros((agents, tasks)), np.arange(tasks))
+                assert (np.isinf(sens) == ((agents, tasks) == (1, 1))).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_distances_past_the_squares_overflow_are_measured(self):
         # The targets are 1.4e154 apart, so the squared distance to the far
         # target overflows once an agent gets close to its own; `np.hypot`

@@ -10,7 +10,8 @@ pins that certification stays on arrays.
 
 The tie rule has one home: `_solver.TIE_RTOL` and `_solver.tie_tol`. Two
 checks on the source of `src/` keep a second, absolute tolerance from coming
-back.
+back. So has the canonical solve, `_solver.solve_canonical`: a third keeps a
+second copy of it out of `sim`.
 """
 import ast
 import importlib
@@ -59,10 +60,10 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
     # The tracer sees a sweep's solves only if the sweep looks these names up
     # on `lapsens._solver` at call time. Each lockstep step after the first
     # runs one `unique_optima` pass over every live seed's previous map, and
-    # keeps the maps it accepts. `solve_dense` runs on each seed's first step
-    # and wherever the previous map was not kept, and one more
-    # `unique_optima` pass covers those solves. The noise ties no optimum
-    # here, so a map is kept exactly where the seed does not reassign.
+    # keeps the maps it accepts. `solve_canonical` runs on each seed's first
+    # step and wherever the previous map was not kept: one `solve_dense` and
+    # one `unique_optima` pass each. The noise ties no optimum here, so a map
+    # is kept exactly where the seed does not reassign.
     calls = {"solve_dense": 0, "unique_optima": 0}
     for name in calls:
         original = getattr(lapsens._solver, name)
@@ -82,20 +83,17 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
     logs = list(run_sweep(scenario, range(4, 8), "naive"))
     lengths = [len(log.steps) for log in logs]
     assert len(set(lengths)) > 1
-    solved_steps = {0} | {step.index for log in logs for step in log.steps if step.reassigned}
-    assert calls == {
-        "solve_dense": sum(1 + log.reassignments for log in logs),
-        "unique_optima": max(lengths) - 1 + len(solved_steps),
-    }
+    solves = sum(1 + log.reassignments for log in logs)
+    assert calls == {"solve_dense": solves, "unique_optima": max(lengths) - 1 + solves}
 
 
-def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypatch):
-    # An unlocked certified step certifies on arrays: no `BipartiteInstance`.
-    # The fixed edges come from one `sens_dense` mask per sweep, and each
-    # `_certify_critical` call builds one one-map exchange kernel of its own.
-    # The sweep keeps one stacked kernel. Each step tests the previous maps
-    # of the seeds that still solve on it, then the fresh solves of the seeds
-    # it refused, and rebuilds it only for a stack of maps it does not hold.
+def test_certified_step_builds_no_instance_and_kernels_only_to_test_maps(monkeypatch):
+    # An unlocked certified step certifies on arrays: no `BipartiteInstance`,
+    # and no sensitivity pass for the fixed edges. Each `_certify_critical`
+    # call builds one one-map exchange kernel of its own, and so does each
+    # solve, for its uniqueness test. The sweep keeps one stacked kernel for
+    # the previous maps of the seeds that still solve, and rebuilds it only
+    # for a stack of maps it does not hold.
     calls = {
         "instances": 0,
         "sens_dense": 0,
@@ -136,21 +134,20 @@ def test_certified_step_builds_no_instance_and_one_fixed_mask_per_sweep(monkeypa
     # does not reassign. Step k solves the seeds that lock at k or later.
     last = max(log.certification_step for log in logs)
     solving = [[log for log in logs if k <= log.certification_step] for k in range(last + 1)]
+    solves = sum(not k or log.steps[k].reassigned for k in range(last + 1) for log in solving[k])
     held, stacked_builds = None, 0
-    for k in range(last + 1):
-        warm = [log.steps[k - 1].assignment for log in solving[k]] if k else []
-        cold = [log.steps[k].assignment for log in solving[k] if not k or log.steps[k].reassigned]
-        for stack in filter(None, [warm, cold]):
-            stacked_builds += stack != held
-            held = stack
+    for k in range(1, last + 1):
+        warm = [log.steps[k - 1].assignment for log in solving[k]]
+        stacked_builds += warm != held
+        held = warm
     # Every seed locks, on a search; the exact test spares the other steps some.
     searches = calls["_certify_critical"]
     assert len(logs) <= searches < sum(map(len, solving))
     assert calls == {
         "instances": 0,
-        "sens_dense": 1,
+        "sens_dense": 0,
         "_certify_critical": searches,
-        "one_map_kernels": searches + 1,
+        "one_map_kernels": searches + solves,
         "stacked_kernels": stacked_builds,
     }
 
@@ -175,6 +172,27 @@ def test_no_absolute_cost_tolerance_name_is_left():
         if "COST_TOL" in _names(node)
     })
     assert not found, f"COST_TOL is still named in {found}"
+
+
+def _references(name: str) -> list[tuple[str, str | None]]:
+    """(module, enclosing top-level definition) of every node of `src/` that names `name`."""
+    return [
+        (path.stem, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if name in _names(node)
+    ]
+
+
+def test_only_the_canonical_solve_runs_the_tie_break():
+    assert _references("canonical_assignment") == [("_solver", "solve_canonical")]
+    in_sim = [
+        name
+        for name in ("solve_dense", "canonical_assignment", "sens_dense")
+        if any(module == "sim" for module, _ in _references(name))
+    ]
+    assert not in_sim, f"sim.py solves outside `_solver.solve_canonical`: {in_sim}"
 
 
 def test_small_float_literals_are_only_the_named_tolerances():

@@ -66,7 +66,8 @@ def solve_dense(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
         rows, cols = linear_sum_assignment(mat)
     except ValueError:
         return None
-    cost = float(mat[rows, cols].sum())
+    with np.errstate(over="ignore"):
+        cost = float(mat[rows, cols].sum())
     if not np.isfinite(cost):
         return None
     task_to_agent = np.empty(mat.shape[1], dtype=np.intp)
@@ -195,9 +196,11 @@ def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
     sensitivity. So the answer holds for any matching, and a True one is
     what any solve returns. `mat` has the kernel's shape, one matrix or a
     stack, and gives one flag per matrix; a stack takes one tolerance per
-    matrix.
+    matrix. On weights near the largest float, a path sum that overflows
+    reads as inf.
     """
-    sens = kernel(mat)
+    with np.errstate(over="ignore"):
+        sens = kernel(mat)
     held = sens.reshape(-1).take(kernel.assigned).reshape(mat.shape[:-2] + (-1,))
     tied = np.abs(sens) <= np.asarray(tol)[..., None, None]
     return (held > 0).all(axis=-1) & ~tied.any(axis=(-2, -1))

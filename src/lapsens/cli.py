@@ -71,9 +71,7 @@ def _print_perturbation(instance: BipartiteInstance, pert: Perturbation) -> None
 def _resolve_perturbation(args, instance: BipartiteInstance, assignment) -> Perturbation:
     choice = getattr(args, "perturbation", None)
     if choice is None or choice == "critical":
-        return critical_search(
-            instance, assignment, getattr(args, "tol", None), args.max_iters
-        ).perturbation
+        return critical_search(instance, assignment, max_iters=args.max_iters).perturbation
     if choice == "zero":
         return Perturbation.zeros(instance.edges)
     return parse_perturbation(Path(choice).read_text(), instance)
@@ -131,7 +129,7 @@ def _cmd_bound(args) -> int:
 def _cmd_critical(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
-    report = critical_search(instance, assignment, args.tol, args.max_iters)
+    report = critical_search(instance, assignment, max_iters=args.max_iters)
     if args.format == "json":
         _print_instance_json(
             instance,
@@ -166,7 +164,7 @@ def _cmd_verify(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
     pert = _resolve_perturbation(args, instance, assignment)
-    ok = verify_allowable(instance, assignment, pert, tol=args.tol)
+    ok = verify_allowable(instance, assignment, pert)
     if args.format == "json":
         _print_json({"allowable": ok})
     else:
@@ -178,8 +176,8 @@ def _cmd_certify(args) -> int:
     instance = _load_instance(args.input)
     assignment = solve_lap(instance).assignment
     if args.exact:
-        if args.tol is not None or args.max_iters != DEFAULT_MAX_ITERS:
-            raise ValueError("--exact runs no critical search: drop --tol and --max-iters")
+        if args.max_iters != DEFAULT_MAX_ITERS:
+            raise ValueError("--exact runs no critical search: drop --max-iters")
         ok = certify_exact(instance, assignment, _resolve_eps(args.eps, instance))
     else:
         pert = _resolve_perturbation(args, instance, assignment)
@@ -234,13 +232,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_common(sub, *, tol=False, max_iters=False, perturbation=False):
+def _add_common(sub, *, max_iters=False, perturbation=False):
     sub.add_argument("--input", required=True, help="input file path")
     sub.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
-    if tol:
-        sub.add_argument("--tol", type=float, default=None, help="tolerance (default: derived)")
     if max_iters:
         sub.add_argument(
             "--max-iters", type=int, default=DEFAULT_MAX_ITERS, dest="max_iters",
@@ -278,19 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_bound)
 
     sub = commands.add_parser("critical", help="iterative critical-perturbation search")
-    _add_common(sub, tol=True, max_iters=True)
+    _add_common(sub, max_iters=True)
     sub.set_defaults(handler=_cmd_critical)
 
     sub = commands.add_parser("intervals", help="per-edge invariance intervals")
-    _add_common(sub, tol=True, max_iters=True, perturbation=True)
+    _add_common(sub, max_iters=True, perturbation=True)
     sub.set_defaults(handler=_cmd_intervals)
 
     sub = commands.add_parser("verify", help="check a perturbation is allowable")
-    _add_common(sub, tol=True, max_iters=True, perturbation=True)
+    _add_common(sub, max_iters=True, perturbation=True)
     sub.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("certify", help="certify the optimum under bounded error")
-    _add_common(sub, tol=True, max_iters=True)
+    _add_common(sub, max_iters=True)
     decision = sub.add_mutually_exclusive_group()
     _add_perturbation(decision)
     decision.add_argument(

@@ -243,7 +243,7 @@ class AnalysisReport:
 
 def analyze(
     instance: BipartiteInstance,
-    stop_tol: float | None = None,
+    *,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> AnalysisReport:
     """Solve an instance and run the whole perturbation analysis on it.
@@ -259,7 +259,7 @@ def analyze(
         raise InfeasibleError("no assignment covers every task")
     assignment = Assignment(tuple(enumerate(res[1].tolist())))
     try:
-        crit = critical_search(instance, assignment, stop_tol, max_iters)
+        crit = critical_search(instance, assignment, max_iters=max_iters)
     except DegenerateOptimumError:
         raise DegenerateOptimumError("instance has multiple optimal assignments") from None
     sens = crit.sensitivities

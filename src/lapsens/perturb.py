@@ -57,10 +57,6 @@ class SensitivityMatrix:
             self, "values", float, lambda v: not math.isnan(v), "sensitivity for edge {edge} is NaN"
         )
 
-    def finite_scale(self) -> float:
-        """Largest finite absolute sensitivity, or 0 when there is none."""
-        return _solver.finite_max(np.fromiter(self.values.values(), float))
-
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -165,7 +161,8 @@ def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
     `pi` is a matching of `mat`, so the solve fails only when every
     matching's cost overflows; that raises ValueError.
     """
-    base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
+    with np.errstate(over="ignore"):
+        base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
     res = _solver.solve_dense(mat)
     if res is None:
         raise ValueError("optimal cost of the perturbed weights must be finite, got inf")
@@ -262,17 +259,14 @@ def verify_allowable(
     instance: BipartiteInstance,
     optimum: Assignment,
     pert: Perturbation,
-    *,
-    tol: float | None = None,
 ) -> bool:
     """Whether the optimum stays optimal after applying the perturbation.
 
     Checks membership in the perturbed instance's optimum set (cost within
-    `tol`, by default `_solver.tie_tol`, of the perturbed optimal cost), not uniqueness.
+    `_solver.tie_tol` of the perturbed optimal cost), not uniqueness.
     """
     mat = _perturbed_dense(instance, pert)
-    tol = _solver.tie_tol(mat) if tol is None else tol
-    return _stays_optimal(mat, _pi_array(instance, optimum), tol)
+    return _stays_optimal(mat, _pi_array(instance, optimum), _solver.tie_tol(mat))
 
 
 def default_stop_tol(sens: np.ndarray, mat: np.ndarray) -> float:
@@ -354,9 +348,8 @@ def _search(
 def critical_search(
     instance: BipartiteInstance,
     optimum: Assignment,
-    stop_tol: float | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     *,
+    max_iters: int = DEFAULT_MAX_ITERS,
     keep_trace: bool = False,
 ) -> CriticalSearchReport:
     """Iterate divided bounds to approach the critical perturbation.
@@ -364,7 +357,7 @@ def critical_search(
     Each pass adds the finite sensitivities divided by 2N to the running
     perturbation and re-evaluates; every iterate is allowable, so stopping
     anywhere is sound. Stops when the residual, the largest absolute finite
-    sensitivity, falls to `stop_tol` (default: `default_stop_tol`) or after
+    sensitivity, falls to the stop tolerance, `default_stop_tol`, or after
     `max_iters` passes (`converged=False`). Edges with unbounded
     sensitivity hold `divided_bound`'s placeholder throughout and are flagged
     saturated; with no finite sensitivity the residual is infinite and the
@@ -375,15 +368,15 @@ def critical_search(
     rounding: on 2,811 random integer grids (1 to 4 tasks, up to 2 extra
     agents, missing and saturated edges) the largest ratio to that bound was
     1 + 3.3e-9, and it was reached. So a search takes about 2N * ln(r0 / tol)
-    passes, about 27.6N under the default tolerance.
+    passes under the stop tolerance tol, about 27.6N.
 
     Deltas only move away from zero: assigned edges go up and unassigned
     edges go down, because every iterate is allowable, so its sensitivities
     keep their signs. Rounding can move a delta the wrong way by a hair: on
     400 random instances (2 to 7 tasks, up to 2 extra agents, weights uniform
     in [1, 100]), 16,413 of 1.69 M moves did, all by at most 1.42e-14. So
-    once an iterate clears per-edge bounds by more than `stop_tol`, the
-    converged perturbation clears them too. The certified simulation
+    once an iterate clears per-edge bounds by more than the stop tolerance,
+    the converged perturbation clears them too. The certified simulation
     (`_certify_critical`) uses this to stop at the first iterate that
     certifies; this function always runs to the end.
 
@@ -392,11 +385,8 @@ def critical_search(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if stop_tol is not None and stop_tol <= 0:
-        raise ValueError("stop_tol must be positive")
     mat = instance._dense
-    kernel, sens, default_tol = _search_start(mat, _pi_array(instance, optimum))
-    tol = default_tol if stop_tol is None else stop_tol
+    kernel, sens, tol = _search_start(mat, _pi_array(instance, optimum))
     edges = instance.sorted_edges()
     sens0 = SensitivityMatrix({e: float(sens[e]) for e in edges})
     trace = [] if keep_trace else None
@@ -420,19 +410,17 @@ def is_critical(
     instance: BipartiteInstance,
     optimum: Assignment,
     pert: Perturbation,
-    tol: float | None = None,
 ) -> bool:
     """Whether the perturbed instance sits at the invariance boundary.
 
     True when every finite element-wise sensitivity of the shifted weights is
-    zero within `tol` (default: the same scaled tolerance critical_search
-    uses). Infeasible flips are skipped, as in critical_search's residual;
-    with edges but no feasible flip the answer is False.
+    zero within critical_search's stop tolerance, `default_stop_tol` of the
+    unperturbed weights. Infeasible flips are skipped, as in critical_search's
+    residual; with edges but no feasible flip the answer is False.
     """
     mat = instance._dense
     kernel = _solver.ExchangeKernel(np.isfinite(mat), _pi_array(instance, optimum))
-    if tol is None:
-        tol = default_stop_tol(kernel(mat), mat)
+    tol = default_stop_tol(kernel(mat), mat)
     sens = kernel(_perturbed_dense(instance, pert))
     return bool(_residual(sens, np.isfinite(sens)) <= tol)
 

@@ -114,11 +114,12 @@ def exact_distances(positions, targets) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=float)
     tgt = np.asarray(targets, dtype=float)
-    diff = pos[..., None, :] - tgt
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-    over = np.isinf(dist)
-    if over.any():
-        dist[over] = np.hypot(*diff[over].T)
+    with np.errstate(over="ignore"):
+        diff = pos[..., None, :] - tgt
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        over = np.isinf(dist)
+        if over.any():
+            dist[over] = np.hypot(*diff[over].T)
     return dist
 
 
@@ -133,7 +134,8 @@ def measure_weights(scenario: Scenario, positions, step: int) -> np.ndarray:
     rng = np.random.default_rng((scenario.seed, step))
     dist = exact_distances(positions, scenario.target_positions)
     noise = rng.uniform(-scenario.noise_bound, scenario.noise_bound, size=dist.shape)
-    return dist + noise
+    with np.errstate(over="ignore"):
+        return dist + noise
 
 
 def step_dynamics(positions, assignment: Assignment, targets, speed: float):
@@ -238,7 +240,8 @@ def run_sweep(
             noise = _rng.uniform_block(live_seeds, k, count, -noise_bound, noise_bound, shape)
             rows = np.arange(len(live))
         weights = exact_distances([run.positions for run in live], targets)
-        weights += noise[rows, k % NOISE_BLOCK]
+        with np.errstate(over="ignore"):
+            weights += noise[rows, k % NOISE_BLOCK]
         # Each seed's max|w|: the scale of its tie tolerance, and inf if any weight is.
         scale = np.abs(weights).max(axis=(1, 2))
         finite = np.isfinite(scale)

@@ -17,6 +17,13 @@ SCENARIO_TEXT = (
     '{"agent_positions":[[0,0],[1,0]],"target_positions":[[1,10],[0,10]],'
     '"speed":0.25,"noise_bound":0.08,"seed":3,"max_steps":200}'
 )
+# Agents 1.27e308 apart: squared distances overflow, and so does the
+# certification of seed 1.
+OVERFLOW_SCENARIO_TEXT = (
+    '{"agent_positions":[[0,0],[1.27e308,0]],'
+    '"target_positions":[[0,8e307],[1.27e308,8e307]],'
+    '"speed":1e300,"noise_bound":1e307,"seed":0,"max_steps":3}'
+)
 
 
 @pytest.fixture()
@@ -163,23 +170,16 @@ class TestVerifyAndCertify:
         assert code == 3
         assert out.strip() == "allowable false"
 
-    @pytest.mark.parametrize("tol", ["0", "1e-12"])
-    def test_verify_tol_below_default_is_kept(self, capsys, tmp_path, tol):
-        # The optimum loses by 5e-10 under this perturbation, inside the
-        # default tolerance but outside both of these.
+    def test_verify_small_loss_above_the_tie_tolerance_is_false(self, capsys, tmp_path):
+        # The optimum loses by 5e-10 under this perturbation; the perturbed
+        # weights' tie tolerance is 1e-12 * 2 tasks * 5e-10.
         grid, pert = tmp_path / "swap.csv", tmp_path / "pert.csv"
         grid.write_text("0,10\n10,0\n")
         pert.write_text("5e-10,-10\n-10,0\n")
         code, out, _ = run_cli(
-            capsys, "verify", "--input", str(grid), "--perturbation", str(pert), "--tol", tol
+            capsys, "verify", "--input", str(grid), "--perturbation", str(pert)
         )
         assert (code, out) == (3, "allowable false\n")
-
-    def test_verify_tol_zero_without_perturbation_is_usage_error(self, capsys, demo_file):
-        # Without --perturbation, --tol is also the critical search's stop tolerance.
-        code, out, err = run_cli(capsys, "verify", "--input", demo_file, "--tol", "0")
-        assert (code, out) == (2, "")
-        assert "stop_tol must be positive" in err
 
     def test_certify_with_uniform_eps(self, capsys, demo_file):
         code, out, _ = run_cli(capsys, "certify", "--input", demo_file, "--eps", "8.5")
@@ -250,9 +250,7 @@ class TestCertifyExact:
         assert out == ""
         assert "not allowed with" in err
 
-    @pytest.mark.parametrize(
-        "option", [("--tol", "0"), ("--max-iters", "5")], ids=["tol", "max-iters"]
-    )
+    @pytest.mark.parametrize("option", [("--max-iters", "5")], ids=["max-iters"])
     def test_exact_with_search_option_is_usage_error(self, capsys, demo_file, option):
         code, out, err = run_cli(
             capsys, "certify", "--input", demo_file, "--eps", "1", "--exact", *option
@@ -334,7 +332,6 @@ class TestSimulate:
         singles = [run_cli(capsys, *args, "--seed", str(seed))[1] for seed in range(4, 9)]
         assert sweep == "".join(singles)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
         "agents, message",
         [
@@ -354,21 +351,24 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert message in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_certification_prints_the_seeds_before_it(self, capsys, tmp_path):
         # Seed 0 locks on step 0; seed 1's worst case overflows every matching's cost.
         path = tmp_path / "scenario.json"
-        path.write_text(
-            '{"agent_positions":[[0,0],[1.27e308,0]],'
-            '"target_positions":[[0,8e307],[1.27e308,8e307]],'
-            '"speed":1e300,"noise_bound":1e307,"seed":0,"max_steps":3}'
-        )
+        path.write_text(OVERFLOW_SCENARIO_TEXT)
         args = ("simulate", "--input", str(path), "--policy", "certified")
         _, seed0, _ = run_cli(capsys, *args, "--seed", "0")
         code, out, err = run_cli(capsys, *args, "--seeds", "0..1")
         assert (code, out) == (2, seed0)
         assert "certification_step 0" in seed0
         assert err == "error: optimal cost of the perturbed weights must be finite, got inf\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["naive", "certified"])
+    def test_overflows_the_simulation_handles_print_no_warning(self, capsys, tmp_path, policy):
+        path = tmp_path / "scenario.json"
+        path.write_text(OVERFLOW_SCENARIO_TEXT)
+        code, _, err = run_cli(capsys, "simulate", "--input", str(path), "--policy", policy)
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -401,6 +401,14 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "solve")
         assert code == 2
+
+    def test_tol_is_an_unknown_option(self, capsys, demo_file):
+        # Every tolerance comes from the weights; none is settable.
+        commands = [("critical",), ("intervals",), ("verify",), ("certify", "--eps", "1")]
+        for command, *required in commands:
+            code, out, err = run_cli(capsys, command, "--input", demo_file, *required, "--tol", "1")
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --tol 1" in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "nonsense")

@@ -1,8 +1,10 @@
 """Sensitivities, allowable bounds, critical search, and certification."""
 import math
 
+import numpy as np
 import pytest
 
+from lapsens import _solver
 from lapsens import (
     DEFAULT_SATURATION_CAP,
     Assignment,
@@ -157,7 +159,6 @@ class TestVerifyAllowable:
         with pytest.raises(ShapeMismatchError):
             verify_allowable(demo_instance, demo_optimum, Perturbation({(0, 0): 0.0}))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_perturbed_cost_names_the_overflow(self):
         # The optimum costs 1.6e308. Its worst case under +/-1e307 raises its
         # own edges and lowers the others, and then every matching's cost overflows.
@@ -211,8 +212,6 @@ class TestCriticalSearch:
     def test_parameter_validation(self, demo_instance, demo_optimum):
         with pytest.raises(ValueError):
             critical_search(demo_instance, demo_optimum, max_iters=0)
-        with pytest.raises(ValueError):
-            critical_search(demo_instance, demo_optimum, stop_tol=0.0)
 
     @pytest.mark.parametrize(
         "grid",
@@ -243,7 +242,7 @@ class TestCriticalSearch:
         assert report.iterations == passes
         saturated = {(0, 0), (0, 1), (0, 2)}
         assert report.perturbation.saturated == saturated
-        assert report.residual <= 1e-6 * sens0.finite_scale()
+        assert report.residual <= 1e-6 * _solver.finite_max(np.array([*sens0.values.values()]))
         for edge in saturated:
             # divided_bound's placeholder, never moved
             expected = math.copysign(DEFAULT_SATURATION_CAP, sens0.values[edge]) / (
@@ -303,11 +302,6 @@ class TestIsCritical:
         inst = BipartiteInstance.from_matrix([[7]])
         assn = Assignment.from_task_map({0: 0})
         assert not is_critical(inst, assn, critical_search(inst, assn).perturbation)
-
-    def test_explicit_tolerance(self, demo_instance, demo_optimum):
-        pert = critical_search(demo_instance, demo_optimum).perturbation
-        assert is_critical(demo_instance, demo_optimum, pert, tol=1e-3)
-        assert not is_critical(demo_instance, demo_optimum, pert, tol=1e-12)
 
 
 class TestCertifyOptimal:

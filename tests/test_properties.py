@@ -49,9 +49,9 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def dense_grids(draw, min_n=1, max_n=4, lo=0, hi=60):
+def dense_grids(draw, min_n=1, max_n=4, lo=0, hi=60, extra_agents=2):
     num_tasks = draw(st.integers(min_n, max_n))
-    num_agents = draw(st.integers(num_tasks, num_tasks + 2))
+    num_agents = draw(st.integers(num_tasks, num_tasks + extra_agents))
     return [
         [draw(st.integers(lo, hi)) for _ in range(num_tasks)]
         for _ in range(num_agents)
@@ -470,6 +470,36 @@ class TestScaleInvariance:
         assert is_critical(big, assn, big_report.perturbation)
         eps = ErrorBounds.uniform(big.edges, math.ldexp(8.5, k))
         assert certify_optimal(big_report.perturbation, assn, eps)
+
+
+class TestShiftInvariance:
+    """Adding an integer to one row or one column of a square grid changes no decision.
+
+    Every full matching of a square grid uses each agent and each task once,
+    so the shift moves every matching's cost alike. Sums of integer weights
+    are exact, so the answers must match exactly, although the tie tolerance
+    follows the shifted max|w|.
+    """
+
+    @SETTINGS
+    @given(dense_grids(max_n=5, hi=19, extra_agents=0), st.data())
+    def test_solve_sensitivities_and_certificate(self, grid, data):
+        shifted = np.array(grid, dtype=float)
+        index = data.draw(st.integers(0, len(grid) - 1))
+        line = shifted[index] if data.draw(st.booleans()) else shifted[:, index]
+        line += data.draw(st.integers(-100, 100))
+        inst, moved = BipartiteInstance.from_matrix(grid), BipartiteInstance.from_matrix(shifted)
+        report, moved_report = solve_lap(inst), solve_lap(moved)
+        assert moved_report.assignment == report.assignment
+        assert moved_report.unique == report.unique
+        assn = report.assignment
+        assert elementwise_sensitivities(moved, assn, allow_degenerate=True) == (
+            elementwise_sensitivities(inst, assn, allow_degenerate=True)
+        )
+        eps = data.draw(st.integers(0, 20)) + 0.5
+        assert certify_exact(moved, assn, ErrorBounds.uniform(moved.edges, eps)) == (
+            certify_exact(inst, assn, ErrorBounds.uniform(inst.edges, eps))
+        )
 
 
 class TestCriticalSearchContraction:

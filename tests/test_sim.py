@@ -286,7 +286,6 @@ class TestRunSimulation:
         assert log.final_positions[2] == (9.0, 9.0)  # spare agent never moves
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("policy", ["naive", "certified"])
     def test_overflowing_distance_rejected(self, policy):
         # Finite coordinates 2e308 apart measure an infinite distance.
@@ -298,7 +297,6 @@ class TestRunSimulation:
             list(run_sweep(sc, range(3), policy))
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("policy", ["naive", "certified"])
     def test_overflowing_optimal_cost_rejected(self, policy):
         # Every distance is finite, about 1e308, but any assignment's cost overflows.
@@ -438,7 +436,6 @@ class TestSweep:
         ]
         assert [repr(log) for log in run_sweep(scenario, seeds, policy)] == want
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_seed_raises_after_the_seeds_before_it(self):
         # The targets are 2**1024 apart, more than the largest float, so an
         # agent on its target measures its distance to the other one as inf,
@@ -465,7 +462,6 @@ class TestSweep:
             assert repr(next(sweep)) == want
         assert seed == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_certification_raises_after_the_seeds_before_it(self):
         # The optimum costs about 1.6e308. Seed 0 locks on step 0; on seed 1's
         # step 0, the worst case of the noise bound overflows every matching's cost.
@@ -496,7 +492,6 @@ class TestSweep:
                 sens = _solver.sens_dense(np.zeros((agents, tasks)), np.arange(tasks))
                 assert (np.isinf(sens) == ((agents, tasks) == (1, 1))).all()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_distances_past_the_squares_overflow_are_measured(self):
         # The targets are 1.4e154 apart, so the squared distance to the far
         # target overflows once an agent gets close to its own; `np.hypot`

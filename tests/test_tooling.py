@@ -11,8 +11,11 @@ pins that certification stays on arrays.
 The tie rule has one home: `_solver.TIE_RTOL` and `_solver.tie_tol`. Two
 checks on the source of `src/` keep a second, absolute tolerance from coming
 back. So has the canonical solve, `_solver.solve_canonical`: a third keeps a
-second copy of it out of `sim`.
+second copy of it out of `sim`. A fourth keeps tolerance parameters out of
+the public functions and the commands, since every tolerance comes from the
+weights.
 """
+import argparse
 import ast
 import importlib
 from pathlib import Path
@@ -20,6 +23,7 @@ from pathlib import Path
 import lapsens._solver
 import lapsens.sim
 from lapsens import BipartiteInstance, Scenario, run_sweep
+from lapsens.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -172,6 +176,39 @@ def test_no_absolute_cost_tolerance_name_is_left():
         if "COST_TOL" in _names(node)
     })
     assert not found, f"COST_TOL is still named in {found}"
+
+
+def _public_functions(body: list[ast.stmt]):
+    """The public functions and methods of public classes among `body`'s definitions."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _public_functions(node.body)
+
+
+def test_no_tolerance_is_settable():
+    found = [
+        f"{path.stem}.{node.name}({arg.arg})"
+        for path in SOURCES
+        if path.stem == "__init__" or not path.stem.startswith("_")
+        for node in _public_functions(ast.parse(path.read_text()).body)
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg in ("tol", "stop_tol")
+    ]
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    # argparse takes `--tol` for any option it abbreviates.
+    found += [
+        f"lapsens {name} {option}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--tol")
+    ]
+    assert not found, f"tolerances that do not come from the weights: {found}"
 
 
 def _references(name: str) -> list[tuple[str, str | None]]:

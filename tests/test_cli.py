@@ -170,12 +170,14 @@ class TestVerifyAndCertify:
         assert code == 3
         assert out.strip() == "allowable false"
 
-    def test_verify_small_loss_above_the_tie_tolerance_is_false(self, capsys, tmp_path):
-        # The optimum loses by 5e-10 under this perturbation; the perturbed
-        # weights' tie tolerance is 1e-12 * 2 tasks * 5e-10.
+    @pytest.mark.parametrize("tol", ["0", "1e-12"])
+    def test_verify_tol_below_default_is_kept(self, capsys, tmp_path, tol):
+        # The optimum loses by 5e-10 + tol under this perturbation. The tie
+        # tolerance comes from the perturbed weights (1e-12 * 2 tasks * 5e-10),
+        # far below the loss, so verify keeps it and reports the loss.
         grid, pert = tmp_path / "swap.csv", tmp_path / "pert.csv"
         grid.write_text("0,10\n10,0\n")
-        pert.write_text("5e-10,-10\n-10,0\n")
+        pert.write_text(f"5e-10,-10\n-10,{tol}\n")
         code, out, _ = run_cli(
             capsys, "verify", "--input", str(grid), "--perturbation", str(pert)
         )

@@ -66,8 +66,7 @@ def solve_dense(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
         rows, cols = linear_sum_assignment(mat)
     except ValueError:
         return None
-    with np.errstate(over="ignore"):
-        cost = float(mat[rows, cols].sum())
+    cost = float(mat[rows, cols].sum())
     if not np.isfinite(cost):
         return None
     task_to_agent = np.empty(mat.shape[1], dtype=np.intp)
@@ -199,8 +198,7 @@ def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
     matrix. On weights near the largest float, a path sum that overflows
     reads as inf.
     """
-    with np.errstate(over="ignore"):
-        sens = kernel(mat)
+    sens = kernel(mat)
     held = sens.reshape(-1).take(kernel.assigned).reshape(mat.shape[:-2] + (-1,))
     tied = np.abs(sens) <= np.asarray(tol)[..., None, None]
     return (held > 0).all(axis=-1) & ~tied.any(axis=(-2, -1))

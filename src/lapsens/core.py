@@ -166,6 +166,7 @@ def _pi_array(instance: BipartiteInstance, assn: Assignment) -> np.ndarray:
     return pi
 
 
+@np.errstate(over="ignore")
 def solve_lap(instance: BipartiteInstance) -> SolveReport:
     """Minimum-cost assignment covering every task.
 
@@ -229,6 +230,7 @@ def constrained_solve(
     raise ValueError(f"mode must be 'force' or 'block', got {mode!r}")
 
 
+@np.errstate(over="ignore")
 def uniqueness_check(instance: BipartiteInstance, assn: Assignment) -> bool:
     """True when `assn` is the strictly unique optimum.
 

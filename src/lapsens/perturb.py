@@ -161,8 +161,7 @@ def _stays_optimal(mat: np.ndarray, pi: np.ndarray, tol: float) -> bool:
     `pi` is a matching of `mat`, so the solve fails only when every
     matching's cost overflows; that raises ValueError.
     """
-    with np.errstate(over="ignore"):
-        base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
+    base = float(mat[pi, np.arange(len(pi))].sum()) if len(pi) else 0.0
     res = _solver.solve_dense(mat)
     if res is None:
         raise ValueError("optimal cost of the perturbed weights must be finite, got inf")
@@ -255,6 +254,7 @@ def halfspace_intervals(pert: Perturbation, optimum: Assignment) -> IntervalTabl
     return IntervalTable(table)
 
 
+@np.errstate(over="ignore")
 def verify_allowable(
     instance: BipartiteInstance,
     optimum: Assignment,
@@ -503,6 +503,7 @@ def _certify_exact(mat: np.ndarray, pi: np.ndarray, bound, fixed: np.ndarray, sc
     return _stays_optimal(mat + shift, pi, _solver.tie_tol(mat, scale))
 
 
+@np.errstate(over="ignore")
 def certify_exact(instance: BipartiteInstance, optimum: Assignment, eps: ErrorBounds) -> bool:
     """Whether the optimum stays optimal for every weight within the error bounds.
 

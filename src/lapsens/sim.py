@@ -110,19 +110,21 @@ def exact_distances(positions, targets) -> np.ndarray:
     Each distance is the square root of the summed squared differences, the
     arithmetic of `np.linalg.norm` on one axis, bit for bit. The squares read
     a distance above about 1.34e154 as inf; only those entries are recomputed
-    with `np.hypot`, which does not overflow but rounds differently.
+    with `np.hypot`, which does not overflow but rounds differently. The
+    squares' overflow warns unless the caller ignores it, as every caller in
+    this module does.
     """
     pos = np.asarray(positions, dtype=float)
     tgt = np.asarray(targets, dtype=float)
-    with np.errstate(over="ignore"):
-        diff = pos[..., None, :] - tgt
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
-        over = np.isinf(dist)
-        if over.any():
-            dist[over] = np.hypot(*diff[over].T)
+    diff = pos[..., None, :] - tgt
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    over = np.isinf(dist)
+    if over.any():
+        dist[over] = np.hypot(*diff[over].T)
     return dist
 
 
+@np.errstate(over="ignore")
 def measure_weights(scenario: Scenario, positions, step: int) -> np.ndarray:
     """Noisy distance measurements at one step.
 
@@ -134,8 +136,7 @@ def measure_weights(scenario: Scenario, positions, step: int) -> np.ndarray:
     rng = np.random.default_rng((scenario.seed, step))
     dist = exact_distances(positions, scenario.target_positions)
     noise = rng.uniform(-scenario.noise_bound, scenario.noise_bound, size=dist.shape)
-    with np.errstate(over="ignore"):
-        return dist + noise
+    return dist + noise
 
 
 def step_dynamics(positions, assignment: Assignment, targets, speed: float):
@@ -190,6 +191,7 @@ class _Run:
         )
 
 
+@np.errstate(over="ignore")
 def run_sweep(
     scenario: Scenario, seeds: Iterable[int], policy: Literal["naive", "certified"]
 ) -> Iterator[SimLog]:
@@ -219,7 +221,9 @@ def run_sweep(
     each step it runs. A seed whose measured distance, the optimal cost of
     whose weights, or whose certification overflows to infinity raises
     ValueError when the iteration reaches it, after the logs of the seeds
-    before it; a negative seed raises ValueError before any log.
+    before it; a negative seed raises ValueError before any log. The whole
+    sweep runs under `np.errstate(over="ignore")`, so the overflows it
+    handles print no warning, and its steps enter no guard of their own.
     """
     if policy not in ("naive", "certified"):
         raise ValueError(f"policy must be 'naive' or 'certified', got {policy!r}")
@@ -240,8 +244,7 @@ def run_sweep(
             noise = _rng.uniform_block(live_seeds, k, count, -noise_bound, noise_bound, shape)
             rows = np.arange(len(live))
         weights = exact_distances([run.positions for run in live], targets)
-        with np.errstate(over="ignore"):
-            weights += noise[rows, k % NOISE_BLOCK]
+        weights += noise[rows, k % NOISE_BLOCK]
         # Each seed's max|w|: the scale of its tie tolerance, and inf if any weight is.
         scale = np.abs(weights).max(axis=(1, 2))
         finite = np.isfinite(scale)
@@ -374,6 +377,7 @@ def summarize(log: SimLog) -> RunMetrics:
 
 
 @functools.lru_cache
+@np.errstate(over="ignore")
 def _ideal_cost(agent_positions, target_positions) -> float:
     """Cost of the canonical optimum on the exact distances; the seeds of a sweep share it."""
     dist = exact_distances(agent_positions, target_positions)

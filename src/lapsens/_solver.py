@@ -15,18 +15,24 @@ assigned edge's sensitivity is, since every cycle passes a task's node. Each
 single-edge flip is a cheapest cycle, so one all-pairs shortest-path pass
 yields every sensitivity.
 
-`ExchangeKernel` prepares that pass once per matching and edge set, or once
-per stack of matchings on one edge set: a leading batch axis runs the pass
-for B weight matrices at once, each with its own matching, with the values
-that B separate kernels give. The critical search calls one kernel on every
-pass and `perturb.is_critical` one for both of its passes; `sens_dense` is
-the one-off form. `unique_optima` turns a kernel's values into flags, one
-per matrix: whether the kernel's matching is the strictly unique optimum,
-for any matching, optimal or not.
+`ExchangeKernel` runs that pass on weights in a matching's row order: the
+holders of tasks 0..n-1 first, then the free agents in ascending order
+(`row_order`). In that order the matching is the diagonal, so the kernel
+holds no per-matching index tables: it is built once per shape, and every
+gather and scatter of a pass is a slice or a strided view of its buffers.
+A leading batch axis runs the pass for B weight matrices at once, each with
+its own matching, with the values that B one-matrix kernels give. The
+critical search writes every pass's weights straight into one kernel's
+buffer and puts its answer back into agent order once, at the end;
+`perturb.is_critical` calls one kernel for both of its passes, and
+`sens_dense` is the one-off form. `unique_optima` turns a kernel's values
+into flags, one per matrix: whether the matching is the strictly unique
+optimum, for any matching, optimal or not. The flags do not depend on the
+order of the rows, so they never go back to agent order.
 
 A sensitivity is infinite exactly where every full matching uses the edge,
 or none does. So the mask of infinities depends on the edge set alone, not
-on the weights or on which full matching the kernel holds: `certify_exact`
+on the weights or on which full matching the pass runs for: `certify_exact`
 takes its fixed edges from it.
 
 Costs tie within `tie_tol`, TIE_RTOL * tasks * max|w|: rounding in a sum of
@@ -91,102 +97,133 @@ def flip_cost(mat: np.ndarray, a: int, b: int, assigned: bool) -> float:
     return np.inf if res is None else res[0] + float(mat[a, b])
 
 
-class ExchangeKernel:
-    """The exchange graphs of a stack of matchings, prepared for any weights on one edge set.
+def row_order(task_to_agent: np.ndarray, num_agents: int) -> np.ndarray:
+    """The agents of each matching in row order: the holders of tasks 0..n-1, then the free ones.
 
-    Built once from the edge mask and the task->agent maps: a map of shape
-    (tasks,) or a stack of shape (B, tasks), one matching per weight matrix.
-    The build keeps the node of each agent, the flat indices of every gather
-    and scatter, and the graph and distance buffers with their Floyd-Warshall
-    row and column views; a single map is the stack of one. Calling it on
-    weights of the matching shape, (agents, tasks) or (B, agents, tasks),
-    returns each matching's element-wise sensitivities in that shape:
-    assigned edges give `flipped_cost - base_cost` (>= 0 at an optimum),
-    unassigned edges give `base_cost - flipped_cost` (<= 0). Entries are
-    +/-inf where the flip is infeasible and NaN at non-edges. Each call
-    returns a new array; the buffers are only reused between calls, so one
-    kernel must not be called from two threads at once.
+    Free agents come in ascending order. `task_to_agent` is one map of shape
+    (tasks,) or a stack of shape (B, tasks), and so is the order, with one
+    entry per agent.
+    """
+    pi = np.asarray(task_to_agent, dtype=np.intp)
+    if pi.shape[-1] == num_agents:
+        return pi
+    free = np.ones(pi.shape[:-1] + (num_agents,), dtype=bool)
+    np.put_along_axis(free, pi, False, axis=-1)
+    return np.concatenate([pi, np.nonzero(free)[-1].reshape(pi.shape[:-1] + (-1,))], axis=-1)
+
+
+class ExchangeKernel:
+    """The exchange-graph pass of any matchings, on weights in their row order, for one shape.
+
+    Built once per shape: (agents, tasks) for one matrix, (B, agents, tasks)
+    for a stack. `weights` is the input buffer, agents as rows in each
+    matching's `row_order`: row t holds the agent of task t, and the free
+    agents follow. In that order each matching is the diagonal, so every
+    gather and scatter of the pass is a slice or a strided view of buffers
+    built here. Calling the kernel runs the pass on `weights` and returns
+    the output buffer, in the same order and overwritten by the next call:
+    assigned edges (the diagonal, also `assigned`) give
+    `flipped_cost - base_cost` (>= 0 at an optimum), unassigned edges give
+    `base_cost - flipped_cost` (<= 0). Entries are +/-inf where the flip is
+    infeasible; at non-edges they are -inf or NaN. `load` and
+    `sensitivities` convert from and to agent order. One kernel must not be
+    called from two threads at once.
 
     On the exchange graph (module docstring), blocking task t's edge costs the
     cheapest cycle through node t. Forcing agent a onto task j costs
     `W[a, j] - W[a, s]` plus the shortest path j->s when a holds task s, and
     `W[a, j]` plus the shortest path j->Z when a is free. Every slice of a
-    stack runs the same arithmetic as a matching of its own, so its values
-    are bit for bit those of a one-matching kernel.
+    stack runs the same arithmetic as a kernel of one matrix, so its values
+    are bit for bit those of that kernel.
     """
 
-    def __init__(self, edge: np.ndarray, task_to_agent: np.ndarray):
-        self.pi = np.asarray(task_to_agent, dtype=np.intp)
-        maps = self.pi if self.pi.ndim == 2 else self.pi[None]
-        batch, num_tasks = maps.shape
-        num_agents = edge.shape[0]
-        self.shape = (batch, num_agents, num_tasks)
-        self.size = size = num_tasks + (num_agents > num_tasks)
-        tasks = np.arange(num_tasks)
-        # Flat (slice, agent) index of each task's holder, and each agent's
-        # node: its task, or Z = num_tasks when it is free.
-        self.holders = maps + num_agents * np.arange(batch)[:, None]
-        node = np.full(batch * num_agents, num_tasks)
-        node[self.holders] = tasks
-        # Flat indices into a (B, agents, tasks) stack: the assigned cells and
-        # the rows of the holders and of the free agents.
-        starts = self.holders * num_tasks
-        self.assigned = starts + tasks
-        self.rows = starts[:, :, None] + tasks
-        if size > num_tasks:
-            free = np.flatnonzero(node == num_tasks) * num_tasks
-            self.free_rows = free.reshape(batch, -1, 1) + tasks
-        # paths[b, a, j] indexes dist[b, j, node of agent a in slice b].
-        node = node.reshape(batch, num_agents, 1)
-        node += size * size * np.arange(batch)[:, None, None]
-        self.paths = node + size * tasks
-        self.non_edge = ~edge
-        graph, dist = np.empty((batch, size, size)), np.empty((batch, size, size))
-        self.graph, self.dist, self.sums = graph, dist, np.empty((batch, size, size))
-        self.cycles = np.empty((batch, num_tasks, size))
-        diagonal = slice(None, None, size + 1)
-        self.diagonals = graph.reshape(batch, -1)[:, diagonal], dist.reshape(batch, -1)[:, diagonal]
-        self.steps = [(dist[:, :, k, None], dist[:, None, k]) for k in range(size)]
+    def __init__(self, shape: tuple[int, ...]):
+        self.weights, self.out = weights, out = np.empty(shape), np.empty(shape)
+        *batch, num_agents, n = shape
+        size = n + (num_agents > n)  # nodes: n tasks, and Z = n when some agent is free
+        graph, dist, sums = (np.empty((*batch, size, size)) for _ in range(3))
+        cycles = np.empty((*batch, n, size))
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        batch, num_agents, num_tasks = self.shape
-        if num_tasks == 0:
-            return np.full(mat.shape, np.nan)
-        graph, dist = self.graph, self.dist
-        flat = mat.reshape(-1)
-        held_pi = flat.take(self.assigned)
-        held = np.zeros(batch * num_agents)
-        held.put(self.holders, held_pi)
-        np.subtract(flat.take(self.rows), held_pi[:, :, None], out=graph[:, :num_tasks, :num_tasks])
-        if self.size > num_tasks:
-            np.negative(held_pi, out=graph[:, :num_tasks, num_tasks])
-            np.minimum.reduce(flat.take(self.free_rows), axis=1, out=graph[:, num_tasks, :num_tasks])
-        self.diagonals[0].fill(np.inf)
-        np.copyto(dist, graph)
-        self.diagonals[1].fill(0.0)
-        for col, row in self.steps:  # Floyd-Warshall, one min-plus step per node
-            np.add(col, row, out=self.sums)
-            np.minimum(dist, self.sums, out=dist)
-        out = np.subtract(mat.reshape(self.shape), held.reshape(batch, num_agents, 1))
-        np.add(out, dist.take(self.paths), out=out)
-        # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
-        np.subtract(0.0, out, out=out)
-        np.copyto(out, np.nan, where=self.non_edge)
-        np.add(graph[:, :num_tasks], dist[:, :, :num_tasks].transpose(0, 2, 1), out=self.cycles)
-        out.put(self.assigned, np.minimum.reduce(self.cycles, axis=2))
-        return out.reshape(mat.shape)
+        def diagonal(a, count):  # a[..., t, t] for t < count, as a view
+            return a.reshape(*batch, -1)[..., : count * a.shape[-1] : a.shape[-1] + 1]
+
+        held = diagonal(weights, n)
+        graph_diagonal, dist_diagonal = diagonal(graph, size), diagonal(dist, size)
+        self.assigned = assigned = diagonal(out, n)
+        held_rows, held_col, graph_tasks = weights[..., :n, :], held[..., None], graph[..., :n, :n]
+        steps = [(dist[..., :, k, None], dist[..., None, k, :]) for k in range(size)]
+        # cycles[..., t, u] = graph[..., t, u] + dist[..., u, t]; the held
+        # agents' unassigned sensitivities negate its first n columns.
+        graph_held, dist_back = graph[..., :n, :], dist[..., :n].swapaxes(-1, -2)
+        cycles_tasks, out_held = cycles[..., :n], out[..., :n, :]
+        free_rows, out_free = weights[..., n:, :], out[..., n:, :]
+        if size > n:
+            to_z, from_z, dist_z = graph[..., :n, n], graph[..., n, :n], dist[..., None, :n, n]
+        add, subtract, minimum = np.add, np.subtract, np.minimum
+
+        def run() -> np.ndarray:
+            subtract(held_rows, held_col, out=graph_tasks)
+            if size > n:
+                # Not np.negative: numpy 2.4.6 negates a 64-byte-strided
+                # input wrongly into a non-contiguous output, and 7 tasks give
+                # `held` that stride. Subtracting from -0.0 negates bit for bit.
+                subtract(-0.0, held, out=to_z)
+                minimum.reduce(free_rows, axis=-2, out=from_z)
+            graph_diagonal.fill(np.inf)
+            np.copyto(dist, graph)
+            dist_diagonal.fill(0.0)
+            for col, row in steps:  # Floyd-Warshall, one min-plus step per node
+                add(col, row, out=sums)
+                minimum(dist, sums, out=dist)
+            add(graph_held, dist_back, out=cycles)
+            # Subtracting from 0.0 rather than negating keeps an exact tie at +0.0.
+            subtract(0.0, cycles_tasks, out=out_held)
+            minimum.reduce(cycles, axis=-1, out=assigned)
+            if size > n:
+                add(free_rows, dist_z, out=out_free)
+                subtract(0.0, out_free, out=out_free)
+            return out
+
+        # Without tasks the output is empty, and a 0 x 0 shape has no node to reduce over.
+        self._pass = run if n else lambda: out
+
+    def __call__(self) -> np.ndarray:
+        return self._pass()
+
+    def load(self, mat: np.ndarray, task_to_agent: np.ndarray) -> None:
+        """Put `mat`, agents as rows, into `weights` in the row order of the matchings.
+
+        `task_to_agent` holds one map per matrix; their `row_order` becomes
+        `order`, and `rows` indexes the rows of `mat` that the rows of
+        `weights` hold.
+        """
+        order = self.order = row_order(task_to_agent, mat.shape[-2])
+        self.rows = (order,) if order.ndim == 1 else (np.arange(len(order))[:, None], order)
+        self.weights[...] = mat[self.rows]
+
+    def sensitivities(self, mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
+        """The pass on `mat`, agents as rows, for the matchings `task_to_agent`.
+
+        Returns a new array of `mat`'s shape, agents as rows, NaN where `mat`
+        is not finite. It leaves `mat` in `weights`, in row order `order`.
+        """
+        self.load(mat, task_to_agent)
+        sens = np.empty(mat.shape)
+        sens[self.rows] = self()
+        np.copyto(sens, np.nan, where=~np.isfinite(mat))
+        return sens
 
 
 def sens_dense(mat: np.ndarray, task_to_agent: np.ndarray) -> np.ndarray:
     """Element-wise sensitivities of every edge relative to the given matching.
 
-    A one-off `ExchangeKernel` call; see there for the values.
+    `ExchangeKernel.sensitivities` from a one-off kernel; see there for the values.
     """
-    return ExchangeKernel(np.isfinite(mat), task_to_agent)(mat)
+    return ExchangeKernel(mat.shape).sensitivities(mat, task_to_agent)
 
 
-def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
-    """Whether each of the kernel's matchings is the strictly unique optimum of its weights.
+def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, maps: np.ndarray, tol) -> np.ndarray:
+    """Whether each matching is the strictly unique optimum of its weights.
 
     True where every assigned edge's sensitivity is positive and every
     single-edge flip moves the matching's cost by more than `tol`, the
@@ -194,20 +231,20 @@ def unique_optima(kernel: ExchangeKernel, mat: np.ndarray, tol) -> np.ndarray:
     matching that is not has a negative cycle, and so a negative assigned
     sensitivity. So the answer holds for any matching, and a True one is
     what any solve returns. `mat` has the kernel's shape, one matrix or a
-    stack, and gives one flag per matrix; a stack takes one tolerance per
-    matrix. On weights near the largest float, a path sum that overflows
-    reads as inf.
+    stack, with one task->agent map per matrix in `maps`, and gives one
+    flag per matrix; a stack takes one tolerance per matrix. The flags do
+    not depend on the order of the rows, so they are read in row order,
+    where a non-edge is never tied. On weights near the largest float, a
+    path sum that overflows reads as inf.
     """
-    sens = kernel(mat)
-    held = sens.reshape(-1).take(kernel.assigned).reshape(mat.shape[:-2] + (-1,))
-    tied = np.abs(sens) <= np.asarray(tol)[..., None, None]
-    return (held > 0).all(axis=-1) & ~tied.any(axis=(-2, -1))
+    kernel.load(mat, maps)
+    tied = np.abs(kernel()) <= np.asarray(tol)[..., None, None]
+    return (kernel.assigned > 0).all(axis=-1) & ~tied.any(axis=(-2, -1))
 
 
 def unique_optimum(mat: np.ndarray, task_to_agent: np.ndarray) -> bool:
     """`unique_optima` of a one-off kernel for one matrix."""
-    kernel = ExchangeKernel(np.isfinite(mat), task_to_agent)
-    return bool(unique_optima(kernel, mat, tie_tol(mat)))
+    return bool(unique_optima(ExchangeKernel(mat.shape), mat, task_to_agent, tie_tol(mat)))
 
 
 def solve_canonical(mat: np.ndarray) -> tuple[np.ndarray, bool] | None:

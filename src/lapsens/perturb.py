@@ -293,20 +293,19 @@ def _search_start(
 ) -> tuple[_solver.ExchangeKernel, np.ndarray, float]:
     """The critical search's start from optimum `pi` of `mat`, on arrays.
 
-    Returns the exchange kernel of `pi` on `mat`'s edge set, the dense
-    sensitivities of `mat` and the default stop tolerance. Raises ValueError
-    when `pi` is not an optimum of `mat` and DegenerateOptimumError when it is
-    tied.
+    Returns an exchange kernel of `mat`'s shape that holds `mat` in `pi`'s
+    row order (its `order`), the dense sensitivities of `mat` and the
+    default stop tolerance. Raises ValueError when `pi` is not an optimum of
+    `mat` and DegenerateOptimumError when it is tied.
     """
-    kernel = _solver.ExchangeKernel(np.isfinite(mat), pi)
-    sens = kernel(mat)
+    kernel = _solver.ExchangeKernel(mat.shape)
+    sens = kernel.sensitivities(mat, pi)
     _check_optimum(mat, pi, sens, allow_degenerate=False)
     return kernel, sens, default_stop_tol(sens, mat)
 
 
 def _search(
     kernel: _solver.ExchangeKernel,
-    mat: np.ndarray,
     sens: np.ndarray,
     tol: float,
     max_iters: int,
@@ -314,28 +313,35 @@ def _search(
     lock: tuple[np.ndarray, np.ndarray] | None = None,
     trace: list | None = None,
 ) -> tuple[np.ndarray, int, float, bool]:
-    """The passes of the critical search on arrays, from `mat` and its sensitivities `sens`.
+    """The passes of the critical search on arrays, all in the kernel's row order.
 
-    Returns the dense deltas of the last iterate (0 at non-edges), the number
-    of passes, the residual and whether the search stopped at a certifying
-    iterate. With `lock`, a pair (sign, floor) as `_clearance` takes it, the
-    search stops at the first iterate whose every edge clears its bound by
-    more than `tol`, before the pass that would evaluate it; the residual
-    returned then is that of the iterate before. `trace`, a list, gets a copy
-    of each iterate's deltas and its residual.
+    `kernel` holds the weights in row order `kernel.order`, as
+    `_search_start` leaves it, and `sens` is their dense sensitivities, in
+    agent order. Returns the dense deltas of the last iterate in row order
+    (0 at non-edges), the number of passes, the residual and whether the
+    search stopped at a certifying iterate. With `lock`, a pair (sign,
+    floor) as `_clearance` takes it, in row order, the search stops at the
+    first iterate whose every edge clears its bound by more than `tol`,
+    before the pass that would evaluate it; the residual returned then is
+    that of the iterate before. `trace`, a list, gets a copy of each
+    iterate's deltas, in row order, and its residual.
     """
     # A flip's feasibility depends on the edge set alone, so `finite` holds on
-    # every pass, and saturated edges keep their placeholder throughout.
+    # every pass, and saturated edges keep their placeholder throughout. It
+    # holds no non-edge, so the kernel's -inf or NaN there is never read.
+    sens = sens[kernel.order]
     finite = np.isfinite(sens)
-    two_n = 2.0 * mat.shape[1]
+    two_n = 2.0 * sens.shape[1]
     delta = np.where(np.isinf(sens), np.copysign(DEFAULT_SATURATION_CAP / two_n, sens), 0.0)
     residual = _residual(sens, finite)
+    base = kernel.weights.copy()
     iterations = 0
     while residual > tol and iterations < max_iters:
         np.add(delta, sens / two_n, out=delta, where=finite)
         if lock is not None and (_clearance(delta, *lock) > tol).all():
             return delta, iterations + 1, residual, True
-        sens = kernel(mat + delta)
+        np.add(base, delta, out=kernel.weights)
+        sens = kernel()
         residual = _residual(sens, finite)
         iterations += 1
         if trace is not None:
@@ -380,21 +386,23 @@ def critical_search(
     (`_certify_critical`) uses this to stop at the first iterate that
     certifies; this function always runs to the end.
 
-    One `_solver.ExchangeKernel` serves every pass (`_search_start`). The
-    reference optimum must be unique (DegenerateOptimumError otherwise).
+    One `_solver.ExchangeKernel`, built for the instance's shape, runs every
+    pass on the weights in the optimum's row order (`_search_start`), and
+    the deltas return to agent order at the end. The reference optimum must
+    be unique (DegenerateOptimumError otherwise).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    mat = instance._dense
-    kernel, sens, tol = _search_start(mat, _pi_array(instance, optimum))
+    kernel, sens, tol = _search_start(instance._dense, _pi_array(instance, optimum))
     edges = instance.sorted_edges()
     sens0 = SensitivityMatrix({e: float(sens[e]) for e in edges})
     trace = [] if keep_trace else None
-    delta, iterations, residual, _ = _search(kernel, mat, sens, tol, max_iters, trace=trace)
+    delta, iterations, residual, _ = _search(kernel, sens, tol, max_iters, trace=trace)
     saturated = frozenset(e for e, v in sens0.values.items() if math.isinf(v))
+    row_of = np.argsort(kernel.order)  # each agent's row in the search's order
 
-    def perturbation(deltas: np.ndarray) -> Perturbation:
-        return Perturbation({e: float(deltas[e]) for e in edges}, saturated)
+    def perturbation(rows: np.ndarray) -> Perturbation:
+        return Perturbation({(a, b): float(rows[row_of[a], b]) for a, b in edges}, saturated)
 
     return CriticalSearchReport(
         perturbation(delta),
@@ -418,10 +426,10 @@ def is_critical(
     unperturbed weights. Infeasible flips are skipped, as in critical_search's
     residual; with edges but no feasible flip the answer is False.
     """
-    mat = instance._dense
-    kernel = _solver.ExchangeKernel(np.isfinite(mat), _pi_array(instance, optimum))
-    tol = default_stop_tol(kernel(mat), mat)
-    sens = kernel(_perturbed_dense(instance, pert))
+    mat, pi = instance._dense, _pi_array(instance, optimum)
+    kernel = _solver.ExchangeKernel(mat.shape)
+    tol = default_stop_tol(kernel.sensitivities(mat, pi), mat)
+    sens = kernel.sensitivities(_perturbed_dense(instance, pert), pi)
     return bool(_residual(sens, np.isfinite(sens)) <= tol)
 
 
@@ -481,14 +489,11 @@ def _certify_critical(mat: np.ndarray, pi: np.ndarray, bound) -> bool:
     try:
         kernel, sens, tol = _search_start(mat, pi)
     except DegenerateOptimumError:
-        delta = np.zeros(mat.shape)
-    else:
-        delta, _, _, locked = _search(
-            kernel, mat, sens, tol, DEFAULT_MAX_ITERS, lock=(sign, floor)
-        )
-        if locked:
-            return True
-    return bool((_clearance(delta, sign, floor) >= 0).all())
+        return bool((floor <= 0).all())  # what the zero perturbation clears
+    # The test is edge by edge, so it runs in the search's row order.
+    sign, floor = sign[kernel.order], floor[kernel.order]
+    delta, _, _, locked = _search(kernel, sens, tol, DEFAULT_MAX_ITERS, lock=(sign, floor))
+    return locked or bool((_clearance(delta, sign, floor) >= 0).all())
 
 
 def _certify_exact(mat: np.ndarray, pi: np.ndarray, bound, fixed: np.ndarray, scale) -> bool:

@@ -208,8 +208,8 @@ def run_sweep(
     weights. A map that is still the strictly unique optimum is the one any
     solve would give, so the seed keeps it (the dynamic Hungarian idea;
     Mills-Tettey, Stentz and Dias, CMU-RI-TR-07-27, 2007). The pass runs one
-    stacked exchange kernel, which depends on the maps alone and is rebuilt
-    only for a stack of maps it does not hold. The other seeds, and every
+    stacked exchange kernel, which depends on the number of maps alone and
+    is rebuilt only when that number changes. The other seeds, and every
     seed's first step, get `_solver.solve_canonical`, the solve of
     `solve_lap`.
 
@@ -217,8 +217,8 @@ def run_sweep(
     every weight finite, so all of them share the complete edge set and the
     scalar bound. On that edge set, only the lone edge of a 1x1 scenario is
     in every full matching, so it is the one edge that `certify_exact` holds
-    fixed. The critical search builds the exchange kernel of its own map at
-    each step it runs. A seed whose measured distance, the optimal cost of
+    fixed. The critical search builds an exchange kernel of its own at each
+    step it runs. A seed whose measured distance, the optimal cost of
     whose weights, or whose certification overflows to infinity raises
     ValueError when the iteration reaches it, after the logs of the seeds
     before it; a negative seed raises ValueError before any log. The whole
@@ -230,7 +230,6 @@ def run_sweep(
     runs = [_Run(replace(scenario, seed=seed)) for seed in seeds]
     targets = scenario.target_positions
     shape = (len(scenario.agent_positions), len(targets))
-    edge = np.ones(shape, dtype=bool)
     fixed = np.full(shape, shape == (1, 1))
     noise_bound = scenario.noise_bound
     live = runs
@@ -254,11 +253,11 @@ def run_sweep(
         ]
         kept = set()
         if warm:
-            stack = np.array([live[i].pi for i in warm])
-            if kernel is None or not np.array_equal(kernel.pi, stack):
-                kernel = _solver.ExchangeKernel(edge, stack)
+            if kernel is None or len(kernel.weights) != len(warm):
+                kernel = _solver.ExchangeKernel((len(warm),) + shape)
             tol = _solver.tie_tol(weights, scale[warm])
-            kept = set(itertools.compress(warm, _solver.unique_optima(kernel, weights[warm], tol)))
+            unique = _solver.unique_optima(kernel, weights[warm], [live[i].pi for i in warm], tol)
+            kept = set(itertools.compress(warm, unique))
         records = weights.tolist()
         for i, run in enumerate(live):
             if run.locked is not None:

@@ -166,8 +166,9 @@ class TestSolverAgainstOracle:
         pi = data.draw(st.sampled_from([perm for _, perm in matchings]))
         _, optima = oracle_optima(grid, matchings=matchings)
         mat = np.array(grid, dtype=float)
-        kernel = ExchangeKernel(np.ones(mat.shape, dtype=bool), np.array(pi))
-        assert bool(_solver.unique_optima(kernel, mat, _solver.tie_tol(mat))) == (optima == [pi])
+        kernel = ExchangeKernel(mat.shape)
+        unique = _solver.unique_optima(kernel, mat, np.array(pi), _solver.tie_tol(mat))
+        assert bool(unique) == (optima == [pi])
 
     @SETTINGS
     @given(sparse_grids())
@@ -550,8 +551,93 @@ def _dense(grid) -> np.ndarray:
     return np.array([[np.inf if w is None else w for w in row] for row in grid], dtype=float)
 
 
+def _reference_pass(edge, task_to_agent, mat):
+    """The exchange-graph pass in gather form, as the plain reference of `ExchangeKernel`.
+
+    It takes the weights in agent order: every gather from `mat` and every
+    scatter back goes through flat indices built from the task->agent maps,
+    one map or a stack of them, with fresh arrays throughout. `edge` is the
+    edge mask, NaN off it. The kernel runs the same IEEE operations in row
+    order, so the two must agree bit for bit.
+    """
+    pi = np.asarray(task_to_agent, dtype=np.intp)
+    maps = pi if pi.ndim == 2 else pi[None]
+    batch, num_tasks = maps.shape
+    num_agents = mat.shape[-2]
+    if num_tasks == 0:
+        return np.full(mat.shape, np.nan)
+    size = num_tasks + (num_agents > num_tasks)
+    tasks = np.arange(num_tasks)
+    # Flat (slice, agent) index of each task's holder, and each agent's node:
+    # its task, or Z = num_tasks when it is free.
+    holders = maps + num_agents * np.arange(batch)[:, None]
+    node = np.full(batch * num_agents, num_tasks)
+    node[holders] = tasks
+    assigned = holders * num_tasks + tasks
+    flat = mat.reshape(-1)
+    held_pi = flat.take(assigned)
+    held = np.zeros(batch * num_agents)
+    held.put(holders, held_pi)
+    graph = np.empty((batch, size, size))
+    rows = (holders * num_tasks)[:, :, None] + tasks
+    np.subtract(flat.take(rows), held_pi[:, :, None], out=graph[:, :num_tasks, :num_tasks])
+    if size > num_tasks:
+        free_rows = (np.flatnonzero(node == num_tasks) * num_tasks).reshape(batch, -1, 1) + tasks
+        np.negative(held_pi, out=graph[:, :num_tasks, num_tasks])
+        np.minimum.reduce(flat.take(free_rows), axis=1, out=graph[:, num_tasks, :num_tasks])
+    graph.reshape(batch, -1)[:, :: size + 1] = np.inf
+    dist = graph.copy()
+    dist.reshape(batch, -1)[:, :: size + 1] = 0.0
+    for k in range(size):  # Floyd-Warshall
+        np.minimum(dist, dist[:, :, k, None] + dist[:, None, k], out=dist)
+    # paths[b, a, j] indexes dist[b, j, node of agent a in slice b].
+    paths = node.reshape(batch, num_agents, 1) + size * size * np.arange(batch)[:, None, None]
+    paths = paths + size * tasks
+    out = mat.reshape(batch, num_agents, num_tasks) - held.reshape(batch, num_agents, 1)
+    out = 0.0 - (out + dist.take(paths))
+    np.copyto(out, np.nan, where=~edge)
+    cycles = graph[:, :num_tasks] + dist[:, :, :num_tasks].transpose(0, 2, 1)
+    out.put(assigned, np.minimum.reduce(cycles, axis=2))
+    return out.reshape(mat.shape)
+
+
 class TestExchangeKernelProperties:
-    """One kernel reused across weights must give what a fresh one gives, bit for bit."""
+    """The row-order kernel against its gather-form reference, and against itself reused."""
+
+    def test_row_order_puts_holders_first_then_free_agents_ascending(self):
+        assert _solver.row_order(np.array([3, 0]), 5).tolist() == [3, 0, 1, 2, 4]
+        assert _solver.row_order(np.array([[3, 0], [1, 4]]), 5).tolist() == [
+            [3, 0, 1, 2, 4],
+            [1, 4, 0, 2, 3],
+        ]
+        assert _solver.row_order(np.array([2, 0, 1]), 3).tolist() == [2, 0, 1]
+
+    @SETTINGS
+    @given(sparse_grids(), st.data())
+    def test_pass_matches_the_gather_form_reference(self, grid, data):
+        # A stack of 1 to 4 weight matrices on the grid's edge set, each with
+        # any matching, optimal or not. Signed zeros, small integers and
+        # quarters give ties and zeros of both signs, and weights of only
+        # 0.0, -0.0 and 1.0 give zero-cost cycles; missing edges give
+        # infinite flips.
+        mask = np.isfinite(_dense(grid))
+        matchings = [perm for _, perm in oracle_enumerate(grid)]
+        batch = data.draw(st.integers(1, 4))
+        maps = np.array([data.draw(st.sampled_from(matchings)) for _ in range(batch)])
+        weight = st.sampled_from([0.0, -0.0, 1.0]) if data.draw(st.booleans()) else st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-8, 60).map(float),
+            st.integers(-40, 40).map(lambda k: k / 4),
+        )
+        stack = np.full((batch,) + mask.shape, np.inf)
+        for b in range(batch):
+            for a, t in zip(*np.nonzero(mask)):
+                stack[b, a, t] = data.draw(weight)
+        got = ExchangeKernel(stack.shape).sensitivities(stack, maps)
+        # tobytes compares NaN positions and the sign of zero as well.
+        assert got.tobytes() == _reference_pass(mask, maps, stack).tobytes()
+        one = ExchangeKernel(mask.shape).sensitivities(stack[0], maps[0])
+        assert one.tobytes() == _reference_pass(mask, maps[0], stack[0]).tobytes()
 
     @SETTINGS
     @given(sparse_grids(), st.data())
@@ -559,14 +645,14 @@ class TestExchangeKernelProperties:
         # Any matching, optimal or not; quarter steps give exact ties and zeros.
         _, perm = data.draw(st.sampled_from(oracle_enumerate(grid)))
         mat, pi = _dense(grid), np.array(perm)
-        kernel = ExchangeKernel(np.isfinite(mat), pi)
+        kernel = ExchangeKernel(mat.shape)
         quarters = st.integers(-40, 40).map(lambda k: k / 4)
         returned = []
         for _ in range(3):
             shifted = mat + np.array([[data.draw(quarters) for _ in row] for row in grid])
-            got = kernel(shifted)
+            got = kernel.sensitivities(shifted, pi)
             # tobytes compares NaN positions and the sign of zero as well.
-            assert got.tobytes() == ExchangeKernel(np.isfinite(mat), pi)(shifted).tobytes()
+            assert got.tobytes() == ExchangeKernel(mat.shape).sensitivities(shifted, pi).tobytes()
             returned.append((got, got.copy()))
         for got, kept in returned:
             assert got.tobytes() == kept.tobytes()
@@ -587,16 +673,45 @@ class TestExchangeKernelProperties:
         for b, pi in enumerate(maps):
             for a, t in zip(*np.nonzero(mask)):
                 stack[b, a, t] = data.draw(zeros if pi[t] == a else small)
-        kernel = ExchangeKernel(mask, maps)
+        kernel = ExchangeKernel(stack.shape)
         quarters = st.integers(-8, 8).map(lambda k: k / 4)
         for _ in range(2):
-            got = kernel(stack)
+            got = kernel.sensitivities(stack, maps)
             # tobytes compares NaN positions and the sign of zero as well.
-            assert got.tobytes() == ExchangeKernel(mask, maps)(stack).tobytes()
+            assert got.tobytes() == ExchangeKernel(stack.shape).sensitivities(stack, maps).tobytes()
             for b in range(batch):
-                assert got[b].tobytes() == ExchangeKernel(mask, maps[b])(stack[b]).tobytes()
+                one = ExchangeKernel(mask.shape).sensitivities(stack[b], maps[b])
+                assert got[b].tobytes() == one.tobytes()
             shift = [[[data.draw(quarters) for _ in row] for row in grid] for _ in maps]
             stack = stack + np.array(shift)
+
+
+class TestSevenTasks:
+    """Sensitivities on 8x7 and 9x7 weights against the constrained-solve oracle.
+
+    With 7 tasks, the diagonal view of a row of 7 weights, which holds each
+    task's assigned weight, has a stride of 8 floats, 64 bytes. numpy 2.4.6
+    negates an input of that stride wrongly into a non-contiguous output:
+    `np.negative` of the view into the graph's free-pool column read the
+    first row's weights instead. Both shapes have free agents, so the pass
+    fills that column on every call.
+    """
+
+    @pytest.mark.parametrize("num_agents", [8, 9])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_one_matrix_and_a_stack(self, num_agents, missing):
+        rng = np.random.default_rng((num_agents, missing))
+        stack = rng.uniform(1.0, 100.0, size=(3, num_agents, 7))
+        if missing:
+            stack[:, 2, 5] = np.inf
+        maps = np.array([_solver.solve_dense(mat)[1] for mat in stack])
+        got = ExchangeKernel(stack.shape).sensitivities(stack, maps)
+        for mat, pi, sens in zip(stack, maps, got):
+            one = _solver.sens_dense(mat, pi)
+            assert one.tobytes() == sens.tobytes()
+            want = oracle_constrained_sensitivities(mat, pi)
+            assert {e: float(one[e]) for e in want} == pytest.approx(want, rel=1e-12, abs=1e-9)
+            assert np.isnan(one[~np.isfinite(mat)]).all() and len(want) == np.isfinite(one).sum()
 
 
 def _reference_critical_search(instance, optimum):

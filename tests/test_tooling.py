@@ -91,41 +91,52 @@ def test_naive_step_calls_solver_through_module_attributes(monkeypatch):
     assert calls == {"solve_dense": solves, "unique_optima": max(lengths) - 1 + solves}
 
 
+def _count_kernel_builds(monkeypatch, calls: dict) -> None:
+    """Count `ExchangeKernel` builds in `calls`, one-matrix and stacked apart."""
+    kernel_init = lapsens._solver.ExchangeKernel.__init__
+
+    def counted_kernel_init(self, shape):
+        calls["one_matrix_kernels" if len(shape) == 2 else "stacked_kernels"] += 1
+        kernel_init(self, shape)
+
+    monkeypatch.setattr(lapsens._solver.ExchangeKernel, "__init__", counted_kernel_init)
+
+
+def _count_calls(monkeypatch, calls: dict, module, name: str) -> None:
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_certified_step_builds_no_instance_and_kernels_only_to_test_maps(monkeypatch):
     # An unlocked certified step certifies on arrays: no `BipartiteInstance`,
-    # and no sensitivity pass for the fixed edges. Each `_certify_critical`
-    # call builds one one-map exchange kernel of its own, and so does each
-    # solve, for its uniqueness test. The sweep keeps one stacked kernel for
-    # the previous maps of the seeds that still solve, and rebuilds it only
-    # for a stack of maps it does not hold.
+    # and no sensitivity pass for the fixed edges. A kernel is built per
+    # shape, not per matching. Each `_certify_critical` call builds one
+    # one-matrix kernel for all of its passes, and so does each solve, for
+    # its uniqueness test. The sweep keeps one stacked kernel for the
+    # previous maps of the seeds that still solve, whatever those maps are,
+    # and rebuilds it only when their number changes.
     calls = {
         "instances": 0,
         "sens_dense": 0,
         "_certify_critical": 0,
-        "one_map_kernels": 0,
+        "one_matrix_kernels": 0,
         "stacked_kernels": 0,
     }
     post_init = BipartiteInstance.__post_init__
-    kernel_init = lapsens._solver.ExchangeKernel.__init__
 
     def counted_post_init(self):
         calls["instances"] += 1
         post_init(self)
 
-    def counted_kernel_init(self, edge, task_to_agent):
-        calls["one_map_kernels" if task_to_agent.ndim == 1 else "stacked_kernels"] += 1
-        kernel_init(self, edge, task_to_agent)
-
-    for module, name in [(lapsens._solver, "sens_dense"), (lapsens.sim, "_certify_critical")]:
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(module, name, counted)
+    _count_calls(monkeypatch, calls, lapsens._solver, "sens_dense")
+    _count_calls(monkeypatch, calls, lapsens.sim, "_certify_critical")
     monkeypatch.setattr(BipartiteInstance, "__post_init__", counted_post_init)
-    monkeypatch.setattr(lapsens._solver.ExchangeKernel, "__init__", counted_kernel_init)
+    _count_kernel_builds(monkeypatch, calls)
     scenario = Scenario(
         agent_positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
         target_positions=((0.0, 10.0), (1.0, 10.0), (2.0, 10.0)),
@@ -139,21 +150,37 @@ def test_certified_step_builds_no_instance_and_kernels_only_to_test_maps(monkeyp
     last = max(log.certification_step for log in logs)
     solving = [[log for log in logs if k <= log.certification_step] for k in range(last + 1)]
     solves = sum(not k or log.steps[k].reassigned for k in range(last + 1) for log in solving[k])
-    held, stacked_builds = None, 0
-    for k in range(1, last + 1):
-        warm = [log.steps[k - 1].assignment for log in solving[k]]
-        stacked_builds += warm != held
-        held = warm
+    sizes = [len(solving[k]) for k in range(1, last + 1)]
+    stacked_builds = sum(size != before for size, before in zip(sizes, [None] + sizes))
     # Every seed locks, on a search; the exact test spares the other steps some.
     searches = calls["_certify_critical"]
     assert len(logs) <= searches < sum(map(len, solving))
+    # Seeds only ever stop solving, so the stack shrinks at most once per seed.
+    assert 1 < stacked_builds <= len(logs)
     assert calls == {
         "instances": 0,
         "sens_dense": 0,
         "_certify_critical": searches,
-        "one_map_kernels": searches + solves,
+        "one_matrix_kernels": searches + solves,
         "stacked_kernels": stacked_builds,
     }
+
+
+def test_critical_search_builds_one_kernel_for_every_pass(monkeypatch):
+    # `critical_search` and `analyze` build one kernel for all of their
+    # passes, and `is_critical` one for both of its; none of them calls
+    # `sens_dense`, so no pass builds a kernel of its own.
+    instance = BipartiteInstance.from_matrix([[4, 1, 3], [2, 0, 5], [3, 2, 2], [9, 9, None]])
+    optimum = lapsens.solve_lap(instance).assignment
+    calls = {"one_matrix_kernels": 0, "stacked_kernels": 0, "sens_dense": 0}
+    _count_kernel_builds(monkeypatch, calls)
+    _count_calls(monkeypatch, calls, lapsens._solver, "sens_dense")
+    report = lapsens.critical_search(instance, optimum)
+    assert report.iterations > 10
+    assert calls == {"one_matrix_kernels": 1, "stacked_kernels": 0, "sens_dense": 0}
+    assert lapsens.analyze(instance).critical_iterations == report.iterations
+    assert lapsens.is_critical(instance, optimum, report.perturbation)
+    assert calls == {"one_matrix_kernels": 3, "stacked_kernels": 0, "sens_dense": 0}
 
 
 def _names(node: ast.AST) -> set[str]:
